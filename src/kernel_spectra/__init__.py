@@ -1,6 +1,6 @@
 """Numerical spectral toolkit for the kernel 1/2 + floor(1/xy) - 1/xy.
 
-Nystrom discretization, eigenpairs with certified orderings, the iterated
+Nystrom discretization, eigenpairs ordered by modulus, the iterated
 kernel in closed form, eigenfunction calculus (derivative series, expansion
 coefficients, asymptotic residuals), and zeta-function identity checks.
 """

@@ -2,19 +2,19 @@
 
 The integral operator is discretized on a composite Gauss grid as the
 symmetric matrix A_ij = sqrt(w_i w_j) K(x_i, x_j), whose eigenvalues mu
-approximate 1/lambda for the kernel eigenvalues lambda.  A hand-rolled
-cyclic Jacobi solver (round-robin parallel ordering, batched rotations)
-does the dense eigensolution; eigenfunctions come out of the Nystrom
-interpolation formula phi(x) = lambda * sum_i w_i K(x, x_i) phi(x_i).
+approximate 1/lambda for the kernel eigenvalues lambda.  LAPACK's symmetric
+solver (np.linalg.eigh) does the dense eigensolution behind a gate: the
+residual max|A V - V diag(mu)| and the orthogonality defect max|V^T V - I|
+must both be within the caller's tol, else RuntimeError.  Eigenfunctions
+come out of the Nystrom interpolation formula
+phi(x) = lambda * sum_i w_i K(x, x_i) phi(x_i).
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -32,8 +32,8 @@ __all__ = [
     "eigenfunction",
     "evaluate",
     "cross_validate_k2",
-    "default_threads",
     "EIGENVALUE_FLOOR_SCALE",
+    "K2_EIGEN_TOL",
 ]
 
 # matrix eigenvalues with |mu| < EIGENVALUE_FLOOR_SCALE / N are treated as
@@ -41,15 +41,9 @@ __all__ = [
 # O(N) of the infinitely many kernel eigenvalues
 EIGENVALUE_FLOOR_SCALE = 1e-3
 
-
-def default_threads() -> int:
-    """Thread count from KERNEL_SPECTRA_THREADS, else 1."""
-    raw = os.environ.get("KERNEL_SPECTRA_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(n, 1)
+# gate tol for the iterated-kernel matrix; at N = 128 eigh's residual on it
+# is ~1e-18 and its orthogonality defect ~1e-15
+K2_EIGEN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -63,6 +57,13 @@ class DiscretizedOperator:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"matrix must be square, got shape {m.shape}")
+        if m.shape[0] != self.grid.nodes.size:
+            raise ValueError(
+                f"matrix is {m.shape[0]}x{m.shape[1]} but the grid has "
+                f"{self.grid.nodes.size} nodes"
+            )
+        if not np.all(np.isfinite(m)):
+            raise ValueError("matrix must be finite (no inf or NaN entries)")
         if not np.array_equal(m, m.T):
             raise ValueError("matrix must be exactly symmetric")
         object.__setattr__(self, "matrix", m)
@@ -72,118 +73,32 @@ class DiscretizedOperator:
         return self.matrix.shape[0]
 
 
-def assemble(grid: QuadratureRule, threads: int | None = None) -> DiscretizedOperator:
-    """Discretize the kernel operator on the grid.
-
-    The thread count only splits the row blocks; every entry is computed
-    the same way and written by index, so the result is identical for any
-    thread count.
-    """
+def assemble(grid: QuadratureRule) -> DiscretizedOperator:
+    """Discretize the kernel operator on the grid."""
     x = grid.nodes
     sq = np.sqrt(grid.weights)
-    n = x.size
-    threads = default_threads() if threads is None else max(int(threads), 1)
-    if threads == 1 or n < 64:
-        raw = k_eval(x[:, None], x[None, :])
-    else:
-        raw = np.empty((n, n))
-        blocks = np.array_split(np.arange(n), threads)
-
-        def fill(idx):
-            raw[idx, :] = k_eval(x[idx, None], x[None, :])
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, blocks))
-    m = sq[:, None] * raw * sq[None, :]
+    m = sq[:, None] * k_eval(x[:, None], x[None, :]) * sq[None, :]
     m = 0.5 * (m + m.T)  # exact symmetry regardless of rounding
     return DiscretizedOperator(grid=grid, matrix=m)
 
 
-@lru_cache(maxsize=8)
-def _round_robin_rounds(n: int):
-    """Disjoint rotation pairs covering all (p, q), p < q, in n-ish rounds.
+def _gated_eigh(matrix: np.ndarray, tol: float):
+    """Symmetric eigendecomposition by LAPACK, checked after the fact.
 
-    Circle method: one slot fixed, the rest rotate; each round's pairs are
-    pairwise disjoint, so their Jacobi rotations commute and can be applied
-    in one batched update.
+    Returns (mu, v, residual, orthogonality) with mu ascending, where
+    residual = max|A v - v diag(mu)| and orthogonality = max|v^T v - I|.
+    Raises RuntimeError unless both are <= tol; a NaN fails the test too.
     """
-    m = n if n % 2 == 0 else n + 1
-    ring = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        left = np.array(ring[: m // 2])
-        right = np.array(ring[: m // 2 - 1 : -1])
-        keep = (left < n) & (right < n)  # drop the bye slot for odd n
-        p = np.minimum(left[keep], right[keep])
-        q = np.maximum(left[keep], right[keep])
-        rounds.append((p, q))
-        ring = [ring[0], ring[-1]] + ring[1:-1]
-    return tuple(rounds)
-
-
-def _jacobi_eigen(matrix: np.ndarray, tol: float, max_sweeps: int):
-    """Full symmetric eigendecomposition by batched cyclic Jacobi.
-
-    Returns (mu, v) with matrix ~ v @ diag(mu) @ v.T; v has orthonormal
-    columns.  Raises RuntimeError if the off-diagonal Frobenius mass does
-    not fall below tol within max_sweeps sweeps.
-    """
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return np.diag(a).copy(), v
-    rounds = _round_robin_rounds(n)
-    off = math.inf
-    scratch = np.empty_like(a)
-    for _ in range(max_sweeps):
-        # sum the off-diagonal squares directly: the algebraic shortcut
-        # ||A||_F^2 - ||diag||^2 cancels catastrophically once the mass is
-        # below sqrt(ulp)*||A||_F and would never reach a tight tol
-        np.square(a, out=scratch)
-        np.fill_diagonal(scratch, 0.0)
-        off = math.sqrt(float(np.sum(scratch)))
-        if off < tol:
-            return np.diag(a).copy(), v
-        for p_all, q_all in rounds:
-            apq = a[p_all, q_all]
-            live = apq != 0.0
-            if not np.any(live):
-                continue
-            p = p_all[live]
-            q = q_all[live]
-            apq = apq[live]
-            with np.errstate(over="ignore", divide="ignore"):
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                # t = sign(tau)/(|tau| + sqrt(1+tau^2)), the smaller root;
-                # at tau = 0 the correct limit is t = 1, not sign(0) = 0,
-                # and huge tau needs the series form to dodge overflow
-                t = np.where(
-                    tau == 0.0,
-                    1.0,
-                    np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau)),
-                )
-                t = np.where(np.abs(tau) > 1e150, 0.5 / tau, t)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            cc = c[:, None]
-            ss = s[:, None]
-            ap = a[p, :]
-            aq = a[q, :]
-            a[p, :] = cc * ap - ss * aq
-            a[q, :] = ss * ap + cc * aq
-            ap = a[:, p]
-            aq = a[:, q]
-            a[:, p] = ap * c - aq * s
-            a[:, q] = ap * s + aq * c
-            vp = v[:, p]
-            vq = v[:, q]
-            v[:, p] = vp * c - vq * s
-            v[:, q] = vp * s + vq * c
-    raise RuntimeError(
-        f"Jacobi did not converge: off-diagonal mass {off:.3e} after "
-        f"{max_sweeps} sweeps (target {tol:.1e}, n = {n})"
-    )
+    mu, v = np.linalg.eigh(matrix)
+    residual = float(np.max(np.abs(matrix @ v - v * mu)))
+    orthogonality = float(np.max(np.abs(v.T @ v - np.eye(mu.size))))
+    if not (residual <= tol and orthogonality <= tol):
+        raise RuntimeError(
+            f"eigensolution fails its gate: residual {residual:.3e}, "
+            f"orthogonality defect {orthogonality:.3e}, tol {tol:.1e} "
+            f"(n = {mu.size})"
+        )
+    return mu, v, residual, orthogonality
 
 
 @dataclass(frozen=True)
@@ -193,6 +108,8 @@ class Spectrum:
     Ordered by |lambda_1| <= |lambda_2| <= ...; among equal moduli the
     positive eigenvalue comes first.  vectors[:, j] is the orthonormal
     matrix eigenvector for lambda_j (0-based column for the 1-based j).
+    residual and orthogonality are the eigensolver gate's measurements,
+    max|A V - V diag(mu)| and max|V^T V - I| over the full matrix spectrum.
     """
 
     eigenvalues: np.ndarray
@@ -201,6 +118,8 @@ class Spectrum:
     ordering: str = "abs-ascending, positive first on ties"
     floor: float = 0.0
     discarded: int = 0
+    residual: float = 0.0
+    orthogonality: float = 0.0
 
     def __len__(self) -> int:
         return int(self.eigenvalues.size)
@@ -247,24 +166,17 @@ def _modulus_order(lam: np.ndarray) -> np.ndarray:
     return order
 
 
-def eigensolve(
-    op: DiscretizedOperator,
-    tol: float = 1e-11,
-    max_sweeps: int = 100,
-    threads: int | None = None,
-) -> Spectrum:
+def eigensolve(op: DiscretizedOperator, tol: float = 1e-11) -> Spectrum:
     """Eigensolve the discretized operator and invert to kernel eigenvalues.
 
-    tol is the absolute off-diagonal Frobenius target for the Jacobi
-    iteration.  Matrix eigenvalues below the noise floor are discarded
-    rather than inverted.  threads is accepted for interface symmetry with
-    assemble; the batched rotations are already data-parallel, and the
-    result never depends on it.
+    tol is an absolute bound on both the residual max|A V - V diag(mu)| and
+    the orthogonality defect max|V^T V - I| of the matrix eigensolution;
+    RuntimeError if either exceeds it.  Matrix eigenvalues below the noise
+    floor are discarded rather than inverted.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    del threads
-    mu, v = _jacobi_eigen(op.matrix, tol, max_sweeps)
+    mu, v, residual, orthogonality = _gated_eigh(op.matrix, tol)
     floor = EIGENVALUE_FLOOR_SCALE / op.size
     keep = np.abs(mu) >= floor
     mu_kept = mu[keep]
@@ -277,6 +189,8 @@ def eigensolve(
         vectors=v_kept[:, order],
         floor=floor,
         discarded=int(np.sum(~keep)),
+        residual=residual,
+        orthogonality=orthogonality,
     )
 
 
@@ -300,6 +214,8 @@ def eigenfunction(spectrum: Spectrum, j: int, grid: QuadratureRule) -> Eigenfunc
     Sign: phi_j(1) > 0; if phi_j(1) is numerically zero (below 1e-9), the
     node value of largest magnitude is made positive instead.
     """
+    if not isinstance(j, numbers.Integral):
+        raise ValueError(f"j must be an integer, got {j!r}")
     if not 1 <= j <= len(spectrum):
         raise ValueError(f"j must be in 1..{len(spectrum)}, got {j}")
     if spectrum.vectors.shape[0] != grid.nodes.size:
@@ -345,6 +261,8 @@ class K2CrossCheck:
     spectrum.  k2_matrix_eigenvalues holds the full iterated-route matrix
     spectrum (descending), trace_partial_sums the running sums of
     1/lambda_j^2, and hs_norm_sq the grid integral of the exact diagonal.
+    residual is the eigensolver gate's max|A V - V diag(mu)| on the
+    iterated-kernel matrix, within K2_EIGEN_TOL.
     """
 
     rel_discrepancies: np.ndarray
@@ -352,27 +270,17 @@ class K2CrossCheck:
     trace_partial_sums: np.ndarray
     hs_norm_sq: float
     count: int = field(default=0)
+    residual: float = 0.0
 
 
-def _assemble_k2(grid: QuadratureRule, kernel_tol: float, threads: int) -> np.ndarray:
-    x = grid.nodes
-    n = x.size
+def _assemble_k2(grid: QuadratureRule, kernel_tol: float) -> np.ndarray:
+    x = grid.nodes.tolist()
+    n = len(x)
     ev = K2Evaluator(tol=kernel_tol)
     raw = np.empty((n, n))
-
-    def fill(rows):
-        for i in rows:
-            xi = float(x[i])
-            for k in range(i, n):
-                raw[i, k] = k2_closed(xi, float(x[k]), ev)
-
-    # interleave rows so the upper-triangle work per thread is balanced
-    row_sets = [np.arange(t, n, threads) for t in range(threads)]
-    if threads == 1:
-        fill(row_sets[0])
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, row_sets))
+    for i in range(n):
+        for k in range(i, n):
+            raw[i, k] = k2_closed(x[i], x[k], ev)
     iu = np.tril_indices(n, -1)
     raw[iu] = raw.T[iu]
     sq = np.sqrt(grid.weights)
@@ -385,7 +293,6 @@ def cross_validate_k2(
     count: int = 10,
     spectrum: Spectrum | None = None,
     kernel_tol: float = 1e-7,
-    threads: int | None = None,
 ) -> K2CrossCheck:
     """Eigensolve the iterated-kernel operator and compare routes.
 
@@ -393,14 +300,15 @@ def cross_validate_k2(
     faster than the direct route's; agreement of 1/lambda_j^2 with the
     iterated matrix eigenvalues is therefore a genuine two-route check, not
     a tautology.  A precomputed direct spectrum can be passed to skip the
-    direct eigensolve.
+    direct eigensolve.  count (>= 1) is capped at the available pairs.
     """
-    threads = default_threads() if threads is None else max(int(threads), 1)
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     if spectrum is None:
-        spectrum = eigensolve(assemble(grid, threads=threads))
-    m2 = _assemble_k2(grid, kernel_tol, threads)
-    mu2, _ = _jacobi_eigen(m2, 1e-12, 100)
-    mu2 = np.sort(mu2)[::-1]
+        spectrum = eigensolve(assemble(grid))
+    m2 = _assemble_k2(grid, kernel_tol)
+    mu2, _, residual, _ = _gated_eigh(m2, K2_EIGEN_TOL)
+    mu2 = mu2[::-1]
     lam = spectrum.eigenvalues
     count = min(count, lam.size, mu2.size)
     inv_sq = 1.0 / lam[:count] ** 2
@@ -412,4 +320,5 @@ def cross_validate_k2(
         trace_partial_sums=np.cumsum(1.0 / lam**2),
         hs_norm_sq=hs,
         count=count,
+        residual=residual,
     )

@@ -20,9 +20,9 @@ settings.register_profile(
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
-# the eigensolves and the K2 matrix assembly cost tens of seconds, so they
-# are session-scoped and shared by the spectra, calculus, and acceptance
-# test modules
+# the K2 matrix assembly costs tens of seconds, so it and the spectra it
+# builds on are session-scoped and shared by the spectra, calculus, and
+# acceptance test modules
 
 
 @pytest.fixture(scope="session")
@@ -62,7 +62,7 @@ def spec512(rule512):
 
 @pytest.fixture(scope="session")
 def xcheck256(rule256, spec256):
-    return cross_validate_k2(rule256, count=10, spectrum=spec256, threads=4)
+    return cross_validate_k2(rule256, count=10, spectrum=spec256)
 
 
 @pytest.fixture(scope="session")

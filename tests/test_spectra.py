@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -7,8 +8,10 @@ from kernel_spectra.iterated import K2Evaluator, k2_closed, k2_diag_exact
 from kernel_spectra.kernel import k_eval
 from kernel_spectra.quadrature import QuadratureRule, uniform_rule
 from kernel_spectra.spectra import (
+    K2_EIGEN_TOL,
     DiscretizedOperator,
     Spectrum,
+    _gated_eigh,
     assemble,
     cross_validate_k2,
     eigenfunction,
@@ -34,14 +37,21 @@ class TestAssemble:
         )
         assert frob_sq == pytest.approx(hs_sq, rel=3e-3)
 
-    def test_thread_count_is_cosmetic(self, rule256, op256):
-        again = assemble(rule256, threads=3)
-        assert np.array_equal(again.matrix, op256.matrix)
-
     def test_rejects_asymmetric_matrix(self):
         g = uniform_rule(2, 1)
         with pytest.raises(ValueError):
             DiscretizedOperator(grid=g, matrix=np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_nonfinite_matrix(self, bad):
+        m = np.eye(2)
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(ValueError, match="matrix must be finite"):
+            DiscretizedOperator(grid=uniform_rule(2, 1), matrix=m)
+
+    def test_rejects_matrix_grid_size_mismatch(self):
+        with pytest.raises(ValueError, match="matrix is 2x2 but the grid has 3 nodes"):
+            DiscretizedOperator(grid=uniform_rule(3, 1), matrix=np.eye(2))
 
 
 class TestEigensolve:
@@ -61,12 +71,20 @@ class TestEigensolve:
         assert s.eigenvalues[0] == pytest.approx(1.0, abs=1e-14)
         assert s.eigenvalues[1] == pytest.approx(-1.0, abs=1e-14)
 
-    def test_matches_dense_oracle(self, op256, spec256):
-        mu_ref = np.linalg.eigvalsh(op256.matrix)
-        mu_ref = mu_ref[np.abs(mu_ref) >= spec256.floor]
-        assert np.max(
-            np.abs(np.sort(spec256.matrix_eigenvalues) - np.sort(mu_ref))
-        ) < 1e-12
+    def test_matches_dense_oracle(self):
+        # 40-digit symmetric eigenvalues of the same float matrix (N = 32)
+        op = assemble(uniform_rule(8, 4))
+        s = eigensolve(op)
+        with mp.workdps(40):
+            mu_ref = mp.eigsy(mp.matrix(op.matrix.tolist()), eigvals_only=True)
+            mu_ref = np.array([float(m) for m in mu_ref])
+        mu_ref = mu_ref[np.abs(mu_ref) >= s.floor]
+        assert mu_ref.size == len(s)
+        assert np.max(np.abs(np.sort(s.matrix_eigenvalues) - np.sort(mu_ref))) <= 1e-14
+
+    def test_gate_measurements_within_tol(self, spec256):
+        assert 0.0 <= spec256.residual <= 1e-11
+        assert 0.0 <= spec256.orthogonality <= 1e-11
 
     def test_vectors_orthonormal(self, spec256):
         gram = spec256.vectors.T @ spec256.vectors
@@ -100,8 +118,16 @@ class TestEigensolve:
         assert abs(spec512.eigenvalues[0]) > 2.0
 
     def test_nonconvergence_raises(self, op256):
-        with pytest.raises(RuntimeError):
-            eigensolve(op256, tol=1e-11, max_sweeps=1)
+        # no double-precision eigensolution has a residual within 1e-300
+        with pytest.raises(RuntimeError, match="residual"):
+            eigensolve(op256, tol=1e-300)
+
+    def test_gate_trips_on_nan(self):
+        # eigh returns NaN pairs for a NaN matrix; a NaN residual must fail
+        m = np.eye(3)
+        m[0, 1] = m[1, 0] = math.nan
+        with pytest.raises(RuntimeError, match="residual nan"):
+            _gated_eigh(m, 1.0)
 
     def test_rejects_bad_tol(self, op256):
         with pytest.raises(ValueError):
@@ -171,6 +197,9 @@ class TestEigenfunction:
             eigenfunction(spec256, 0, rule256)
         with pytest.raises(ValueError):
             eigenfunction(spec256, len(spec256) + 1, rule256)
+        with pytest.raises(ValueError, match="j must be an integer"):
+            eigenfunction(spec256, 1.5, rule256)
+        assert eigenfunction(spec256, np.int64(2), rule256).eigenvalue == spec256.eigenvalues[1]
 
     def test_grid_mismatch(self, spec256):
         with pytest.raises(ValueError):
@@ -190,6 +219,14 @@ class TestCrossValidation:
         # N=256; their difference stays below this measured ceiling
         assert xcheck256.count == 10
         assert float(np.max(xcheck256.rel_discrepancies)) < 8e-2
+
+    def test_k2_gate_residual_within_tol(self, xcheck256):
+        assert 0.0 <= xcheck256.residual <= K2_EIGEN_TOL
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_rejects_nonpositive_count(self, rule256, spec256, count):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            cross_validate_k2(rule256, count=count, spectrum=spec256)
 
     def test_iterated_matrix_psd(self, xcheck256):
         assert float(xcheck256.k2_matrix_eigenvalues.min()) >= -1e-10
