@@ -30,7 +30,16 @@ import numpy as np
 from .bernoulli import bernoulli_tilde, log_factorial
 from .kernel import k_eval
 from .quadrature import composite_rule, kernel_breakpoints
-from .tails import _tilde_tail_vec, b2_series, mixed_power_tail, tilde_power_tail
+from .tails import (
+    _bn_series_vec,
+    _direct_sums,
+    _mixed_tail_vec,
+    _rational_pairs,
+    _tilde_tail_vec,
+    b2_series,
+    mixed_power_tail,
+    tilde_power_tail,
+)
 
 __all__ = [
     "K2Evaluator",
@@ -118,15 +127,28 @@ def _closed_accelerated(x: float, y: float, tol: float) -> float:
     return t1 + t2 + t3 + t4
 
 
-def _direct_b2_sum(beta: float, m_lo: int, m_hi: int) -> float:
-    total = 0.0
-    lo = m_lo
-    while lo <= m_hi:
-        hi = min(lo + (1 << 20) - 1, m_hi)
-        m = np.arange(lo, hi + 1, dtype=float)
-        total += float(np.dot(bernoulli_tilde(2, m * beta), m**-2))
-        lo = hi + 1
-    return total
+def _k2_row(x: float, ys: np.ndarray, tol: float) -> np.ndarray:
+    """_closed_accelerated(x, y, tol) for one x and every y in ys, all >= x.
+
+    One row of the iterated-kernel matrix in one pass: what depends on
+    A = 1/x alone (the pure tails, B~n(A), the window's integer cuts) is
+    computed once, the rest as arrays over the columns, each column keeping
+    the scalar route's path choice, truncations and certificates.  The
+    t3 tail is taken once at the tightest column tolerance, 2 min(ys) tol/3,
+    which meets every column's.
+    """
+    ys = np.asarray(ys, dtype=float)
+    if not (ys.size and 0.0 < x <= float(ys.min()) and float(ys.max()) <= 1.0):
+        raise ValueError("_k2_row requires 0 < x <= y <= 1 for every y")
+    A = 1.0 / x
+    t1 = -0.5 * x * bernoulli_tilde(2, A) * bernoulli_tilde(1, 1.0 / ys)
+    t2 = _mixed_tail_vec(A, x / ys, tol * x / 3.0) / x
+    t3 = -0.5 / ys * tilde_power_tail(2, 2.0, A, 2.0 * float(ys.min()) * tol / 3.0)
+    pref = 0.5 * x / (ys * ys)
+    m_start = np.floor(1.0 / ys).astype(np.int64) + 1
+    beta = ys / x
+    t4 = pref * _bn_series_vec(2, beta, 2.0, m_start, tol / (3.0 * pref), _rational_pairs(beta))
+    return t1 + t2 + t3 + t4
 
 
 def _closed_literal(x: float, y: float, ev: K2Evaluator) -> float:
@@ -148,13 +170,17 @@ def _closed_literal(x: float, y: float, ev: K2Evaluator) -> float:
     # B~2 has zero mean, so plain truncation at T leaves under T^-2/(36 sqrt 3)
     i2 = rule2.integrate(lambda t: bernoulli_tilde(2, t) * t**-2)
     m0 = math.floor(1.0 / y) + 1
-    series = _direct_b2_sum(beta, m0, ev.m_series + math.ceil(1.0 / y))
+    series = float(_direct_sums(2, 2.0, beta, m0, ev.m_series + math.ceil(1.0 / y))[0])
     t1 = -0.5 * x * bernoulli_tilde(2, A) * bernoulli_tilde(1, 1.0 / y)
     return t1 + i1 / x - 0.5 * i2 / y + 0.5 * x / (y * y) * series
 
 
 def k2_closed(x: float, y: float, evaluator: K2Evaluator | None = None) -> float:
-    """Four-term closed form for K2(x, y); x, y in (0, 1]."""
+    """Four-term closed form for K2(x, y); x, y in (0, 1].
+
+    The accelerated route is the oracle for the row-batched form that fills
+    the iterated-kernel matrix (tests/test_iterated.py::TestBatchedRow).
+    """
     if not (0.0 < x <= 1.0 and 0.0 < y <= 1.0):
         raise ValueError("k2_closed requires x, y in (0, 1]")
     ev = evaluator if evaluator is not None else _default_evaluator()

@@ -9,12 +9,12 @@ only approximation is the certified small-z cutoff.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bernoulli import frac
+from .quadrature import kernel_breakpoints
 
 __all__ = ["k_eval", "h_eval", "delta_r", "KernelModel"]
 
@@ -60,17 +60,6 @@ class KernelModel:
         return delta_r(a, b, r, tol=self.delta_tol, cap=self.breakpoint_cap)
 
 
-def _row_breakpoints(a: float, z0: float) -> np.ndarray:
-    """All z = 1/(m a) in (z0, 1]."""
-    m_lo = math.ceil(1.0 / a)
-    m_hi = math.ceil(1.0 / (a * z0)) - 1
-    if m_hi < m_lo:
-        return np.empty(0)
-    m = np.arange(m_lo, m_hi + 1, dtype=float)
-    z = 1.0 / (m * a)
-    return z[(z > z0) & (z <= 1.0)]
-
-
 def delta_r(a: float, b: float, r: float, tol: float = 1e-7,
             cap: int = 100_000) -> float:
     """Integral over [0,1] of |K(a,z) - K(b,z)| z^r.
@@ -91,8 +80,7 @@ def delta_r(a: float, b: float, r: float, tol: float = 1e-7,
     z0_cap = (1.0 / a + 1.0 / b) / float(cap)
     z0 = min(max(z0, z0_cap), 0.5)
 
-    cuts = np.unique(np.concatenate((
-        _row_breakpoints(a, z0), _row_breakpoints(b, z0), [z0, 1.0])))
+    cuts = np.union1d(kernel_breakpoints(a, z0), kernel_breakpoints(b, z0))
     zl = cuts[:-1]
     zr = cuts[1:]
     keep = zr > zl

@@ -139,4 +139,10 @@ def kernel_breakpoints(x: float, cutoff: float) -> np.ndarray:
         z = z[(z > cutoff) & (z <= 1.0)]  # guard float edges of the ceil arithmetic
     else:
         z = np.empty(0)
-    return np.unique(np.concatenate((z, [cutoff, 1.0])))
+    # 1/(m x) falls strictly with m (adjacent values differ by a factor
+    # 1 + 1/m, far above rounding), so reversed z is sorted and unique, and
+    # only its last point can repeat an end
+    z = z[::-1]
+    if z.size and z[-1] == 1.0:
+        z = z[:-1]
+    return np.concatenate(([cutoff], z, [1.0]))

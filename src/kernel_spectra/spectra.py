@@ -8,17 +8,25 @@ residual max|A V - V diag(mu)| and the orthogonality defect max|V^T V - I|
 must both be within the caller's tol, else RuntimeError.  Eigenfunctions
 come out of the Nystrom interpolation formula
 phi(x) = lambda * sum_i w_i K(x, x_i) phi(x_i).
+
+eigh's eigenvalues depend on the BLAS thread count in their last digits
+(at N = 2048, lambda_1 moved by 5e-15 between 1 and 2 OpenBLAS threads), so
+spectra are bit-reproducible only at a fixed OPENBLAS_NUM_THREADS; compare
+spectra across runs with == only with it pinned.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .iterated import K2Evaluator, k2_closed, k2_diag_exact
+# k2_closed, the scalar oracle of the batched K2 fill, stays importable from
+# here: bench/test_bench.py checks that the span tracer wraps it in this module
+from .iterated import K2Evaluator, _k2_row, k2_closed, k2_diag_exact  # noqa: F401
 from .kernel import k_eval
 from .quadrature import QuadratureRule
 
@@ -262,7 +270,8 @@ class K2CrossCheck:
     spectrum (descending), trace_partial_sums the running sums of
     1/lambda_j^2, and hs_norm_sq the grid integral of the exact diagonal.
     residual is the eigensolver gate's max|A V - V diag(mu)| on the
-    iterated-kernel matrix, within K2_EIGEN_TOL.
+    iterated-kernel matrix, within K2_EIGEN_TOL.  fill_s and eigensolve_s
+    are the wall times of that matrix's fill and of its eigensolve.
     """
 
     rel_discrepancies: np.ndarray
@@ -271,18 +280,20 @@ class K2CrossCheck:
     hs_norm_sq: float
     count: int = field(default=0)
     residual: float = 0.0
+    fill_s: float = 0.0
+    eigensolve_s: float = 0.0
 
 
 def _assemble_k2(grid: QuadratureRule, kernel_tol: float) -> np.ndarray:
-    x = grid.nodes.tolist()
-    n = len(x)
-    ev = K2Evaluator(tol=kernel_tol)
+    K2Evaluator(tol=kernel_tol)  # rejects a tol outside (0, 1)
+    order = np.argsort(grid.nodes, kind="stable")
+    x = grid.nodes[order]
+    n = x.size
     raw = np.empty((n, n))
+    # row i of the upper triangle in one batched pass, x[i] being its minimum
     for i in range(n):
-        for k in range(i, n):
-            raw[i, k] = k2_closed(x[i], x[k], ev)
-    iu = np.tril_indices(n, -1)
-    raw[iu] = raw.T[iu]
+        raw[order[i], order[i:]] = _k2_row(float(x[i]), x[i:], kernel_tol)
+        raw[order[i:], order[i]] = raw[order[i], order[i:]]
     sq = np.sqrt(grid.weights)
     m = sq[:, None] * raw * sq[None, :]
     return 0.5 * (m + m.T)
@@ -306,8 +317,11 @@ def cross_validate_k2(
         raise ValueError(f"count must be >= 1, got {count}")
     if spectrum is None:
         spectrum = eigensolve(assemble(grid))
+    t0 = time.perf_counter()
     m2 = _assemble_k2(grid, kernel_tol)
+    t1 = time.perf_counter()
     mu2, _, residual, _ = _gated_eigh(m2, K2_EIGEN_TOL)
+    t2 = time.perf_counter()
     mu2 = mu2[::-1]
     lam = spectrum.eigenvalues
     count = min(count, lam.size, mu2.size)
@@ -321,4 +335,6 @@ def cross_validate_k2(
         hs_norm_sq=hs,
         count=count,
         residual=residual,
+        fill_s=t1 - t0,
+        eigensolve_s=t2 - t1,
     )

@@ -225,7 +225,11 @@ def _tilde_tail_vec(n: int, q: float, A: np.ndarray, tol: np.ndarray) -> np.ndar
     return val
 
 
-def series_remainder_bound(beta: float, M: int, k_max: int = 4096) -> float:
+# Fourier frequencies summed by series_remainder_bound by default
+_K_MAX = 4096
+
+
+def series_remainder_bound(beta: float, M: int, k_max: int = _K_MAX) -> float:
     """Certified bound for |sum_{m>M} B~2(m beta) m^(-2)|.
 
     Fourier side: B~2(t) = (1/pi^2) sum_k cos(2 pi k t)/k^2 (at t = 0 this
@@ -273,7 +277,38 @@ def _rational_series(n: int, p: int, q: int, s: float, m_start: int) -> float:
     return total * q ** (-s)
 
 
-_CHUNK = 1 << 20
+# no temporary of the batched sums and windows holds more than this many terms
+_SUM_BLOCK = 1 << 14
+# b2_series gives up doubling its truncation M beyond this
+_M_BUDGET = 1 << 28
+
+
+def _direct_sums(n: int, s: float, beta, m_lo, m_hi) -> np.ndarray:
+    """sum_{m = m_lo[j]}^{m_hi[j]} B~n(m beta[j]) m^(-s) for every j.
+
+    The segments are laid end to end and summed _SUM_BLOCK terms at a time,
+    so memory stays bounded however long one segment is; each term is
+    computed exactly as a single direct sum computes it.
+    """
+    beta = np.atleast_1d(np.asarray(beta, dtype=float))
+    m_lo = np.atleast_1d(np.asarray(m_lo, dtype=np.int64))
+    m_hi = np.atleast_1d(np.asarray(m_hi, dtype=np.int64))
+    length = np.maximum(m_hi - m_lo + 1, 0)
+    end = np.cumsum(length)
+    start = end - length
+    out = np.zeros(beta.shape)
+    total = int(end[-1]) if end.size else 0
+    for b0 in range(0, total, _SUM_BLOCK):
+        b1 = min(b0 + _SUM_BLOCK, total)
+        seg = np.arange(np.searchsorted(end, b0, side="right"),
+                        np.searchsorted(start, b1, side="left"))
+        lo = np.maximum(start[seg], b0)
+        cnt = np.minimum(end[seg], b1) - lo
+        seg, lo, cnt = seg[cnt > 0], lo[cnt > 0], cnt[cnt > 0]
+        m = (np.arange(b0, b1) + np.repeat(m_lo[seg] - start[seg], cnt)).astype(float)
+        vals = bernoulli_tilde(n, m * np.repeat(beta[seg], cnt)) * m ** (-s)
+        out[seg] += np.add.reduceat(vals, lo - b0)
+    return out
 
 
 def b2_series(beta: float, m_start: int, tol: float = 1e-10) -> float:
@@ -291,16 +326,9 @@ def b2_series(beta: float, m_start: int, tol: float = 1e-10) -> float:
     M = max(m_start + 256, 2048)
     while series_remainder_bound(beta, M) > tol:
         M *= 2
-        if M > (1 << 28):
+        if M > _M_BUDGET:
             raise RuntimeError("series truncation exceeded budget")
-    total = 0.0
-    lo = m_start
-    while lo <= M:
-        hi = min(lo + _CHUNK - 1, M)
-        m = np.arange(lo, hi + 1, dtype=float)
-        total += float(np.dot(bernoulli_tilde(2, m * beta), m**-2))
-        lo = hi + 1
-    return total
+    return float(_direct_sums(2, 2.0, beta, m_start, M)[0])
 
 
 def bn_series(n: int, beta: float, s: float, m_start: int, tol: float = 1e-10) -> float:
@@ -317,14 +345,7 @@ def bn_series(n: int, beta: float, s: float, m_start: int, tol: float = 1e-10) -
     # crude certified tail: sup|B~n| * M^(1-s)/(s-1)
     M = int(math.ceil((_B_SUP[n] / (tol * (s - 1.0))) ** (1.0 / (s - 1.0))))
     M = max(M, m_start + 16)
-    total = 0.0
-    lo = m_start
-    while lo <= M:
-        hi = min(lo + _CHUNK - 1, M)
-        m = np.arange(lo, hi + 1, dtype=float)
-        total += float(np.dot(bernoulli_tilde(n, m * beta), m**-s))
-        lo = hi + 1
-    return total
+    return float(_direct_sums(n, s, beta, m_start, M)[0])
 
 
 def mixed_power_tail(A: float, alpha: float, tol: float = 1e-11) -> float:
@@ -367,6 +388,207 @@ def mixed_power_tail(A: float, alpha: float, tol: float = 1e-11) -> float:
         return bernoulli_tilde(4, t) * bernoulli_tilde(1, alpha * t) * t**-5
 
     total += _window_integral(r2, A, float(T2), order=8, extra=jumps)
+    return total
+
+
+
+# Batched forms of the series and the mixed tail, for many columns of one
+# row of the iterated-kernel matrix.  Each keeps the scalar routine's path
+# choice, truncation and certificate per column, so the scalar routines above
+# stay the oracle for them (tests/test_iterated.py::TestBatchedRow).
+
+# Legendre's theorem needs 2 ulp(beta) < 1/(2 max_den^2); it holds below this
+_CF_BETA_MAX = float(1 << 20)
+
+
+def _rational_pairs(beta: np.ndarray, max_den: int = 16384) -> list:
+    """_as_rational(b, max_den) for every entry b of beta.
+
+    A continued-fraction expansion, exact in int64 over the dyadic value of
+    each beta in [1/512, 2^20), flags the entries that have a convergent
+    p/q with q <= max_den within 1e-13 relative; only flagged entries (and
+    any outside that range) run the exact _as_rational.  No accepted beta
+    escapes the flag: _as_rational accepts only p/q within ~3 ulp of beta
+    (under 1e-15 relative), far inside 1/(2 q^2), and by Legendre's theorem
+    such a p/q is a convergent of beta.
+    """
+    beta = np.asarray(beta, dtype=float)
+    flag = ~((beta >= 1.0 / 512.0) & (beta < _CF_BETA_MAX))
+    idx = np.flatnonzero(~flag)
+    frac_part, expo = np.frexp(beta[idx])
+    num = (frac_part * 2.0**53).astype(np.int64)  # beta = num / den exactly
+    den = np.left_shift(np.int64(1), (53 - expo).astype(np.int64))
+    h1, h2 = np.ones_like(num), np.zeros_like(num)  # convergent numerators
+    k1, k2 = np.zeros_like(num), np.ones_like(num)  # and denominators
+    live = np.ones(idx.size, dtype=bool)
+    while live.any():
+        i = np.flatnonzero(live)
+        a, rem = np.divmod(num[i], den[i])
+        # a larger partial quotient only pushes the denominator past max_den
+        a = np.where(k1[i] == 0, a, np.minimum(a, max_den + 1))
+        h = a * h1[i] + h2[i]
+        k = a * k1[i] + k2[i]
+        num[i], den[i] = den[i], rem
+        h2[i], h1[i], k2[i], k1[i] = h1[i], h, k1[i], k
+        ok = k <= max_den
+        b = beta[idx[i]]
+        flag[idx[i[ok]]] |= np.abs(b[ok] - h[ok] / k[ok]) <= 1e-13 * b[ok]
+        live[i] = ok & (den[i] != 0)
+    pairs = [None] * beta.size
+    for j in np.flatnonzero(flag):
+        pairs[j] = _as_rational(float(beta[j]), max_den)
+    return pairs
+
+
+_K = np.arange(1, _K_MAX + 1, dtype=float)
+_K2 = _K**2
+# summands of the cheap lower bound that certifies a doubling in _b2_truncations
+_K_HEAD = 64
+
+
+def _bound_terms(dist: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """series_remainder_bound's summands min(1/M, osc_k)/k^2, one row per M.
+
+    dist holds ||k beta|| for the first dist.shape[1] frequencies k; the
+    float operations are series_remainder_bound's, so the terms are too.
+    """
+    scale = np.array([2.0 * (m + 1.0) ** 2 for m in M.tolist()])
+    # ||k beta|| = 0 gives 1/0 = inf, the 1/M branch of the minimum
+    with np.errstate(divide="ignore"):
+        terms = np.divide(1.0, scale[:, None] * dist)
+    np.minimum((1.0 / M)[:, None], terms, out=terms)
+    return np.divide(terms, _K2[: dist.shape[1]], out=terms)
+
+
+def _b2_truncations(beta: np.ndarray, m_start: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """b2_series' direct-sum truncation M for every column.
+
+    The same doubling from max(m_start + 256, 2048) on the same float
+    formula as series_remainder_bound, with the distances ||k beta|| taken
+    once per column and reused across doublings.  A doubling is certified
+    without the full formula while the first _K_HEAD of its _K_MAX summands,
+    less a 1e-12 relative margin, already put the bound above tol: the
+    summands are nonnegative and the margin exceeds the rounding of either
+    sum, so the full formula would exceed tol too.
+    """
+    M = np.maximum(m_start + 256, 2048)
+    for k_used, margin in ((_K_HEAD, 1.0 - 1e-12), (_K_MAX, 1.0)):
+        rows = max(1, _SUM_BLOCK // k_used)
+        for lo in range(0, beta.size, rows):
+            sl = slice(lo, lo + rows)
+            kb = beta[sl, None] * _K[:k_used]
+            dist = np.abs(kb - np.round(kb), out=kb)
+            Mb, tb = M[sl], tol[sl]  # Mb is a view: doubling it doubles M
+            todo = np.arange(Mb.size)
+            while todo.size:
+                m = Mb[todo]
+                head = np.sum(_bound_terms(dist[todo], m), axis=1) * margin
+                bound = (head + 1.0 / (m * _K_MAX)) / math.pi**2
+                todo = todo[bound > tb[todo]]
+                Mb[todo] *= 2
+                if np.any(Mb[todo] > _M_BUDGET):
+                    raise RuntimeError("series truncation exceeded budget")
+    return M
+
+
+def _bn_series_vec(n: int, beta: np.ndarray, s: float, m_start: np.ndarray,
+                   tol: np.ndarray, pairs: list) -> np.ndarray:
+    """bn_series(n, beta[j], s, m_start[j], tol[j]) for every column j.
+
+    pairs is _rational_pairs(beta), which callers share between series.
+    """
+    out = np.empty(beta.shape)
+    for j, pq in enumerate(pairs):
+        if pq is not None:
+            out[j] = _rational_series(n, pq[0], pq[1], s, int(m_start[j]))
+    d = np.array([pq is None for pq in pairs], dtype=bool)
+    if not d.any():
+        return out
+    if n == 2 and s == 2.0:
+        M = _b2_truncations(beta[d], m_start[d], tol[d])
+    else:
+        # bn_series' crude certified tail, in the same scalar arithmetic
+        M = [max(int(math.ceil((_B_SUP[n] / (t * (s - 1.0))) ** (1.0 / (s - 1.0)))), m + 16)
+             for t, m in zip(tol[d].tolist(), m_start[d].tolist())]
+    out[d] = _direct_sums(n, s, beta[d], m_start[d], M)
+    return out
+
+
+def _column_blocks(sizes: np.ndarray, cap: int):
+    """Slices of consecutive columns whose sizes sum to at most cap (or one column)."""
+    start, acc = 0, 0
+    for j, size in enumerate(sizes.tolist()):
+        if acc and acc + size > cap:
+            yield slice(start, j)
+            start, acc = j, 0
+        acc += size
+    if start < len(sizes):
+        yield slice(start, len(sizes))
+
+
+def _remainder_windows(A: float, T2: float, alpha: np.ndarray, m0: np.ndarray) -> np.ndarray:
+    """mixed_power_tail's R2 window over [A, T2] for every alpha_j.
+
+    Each column's panels are cut at the integers and at its own jumps
+    m/alpha_j, then halved, as _window_integral cuts them; cuts that
+    coincide leave zero-width panels, which carry zero weight.
+    """
+    k0, k1 = math.floor(A) + 1, math.ceil(T2) - 1
+    base = np.concatenate(([A, T2], np.arange(k0, k1 + 1, dtype=float)))
+    m_hi = np.floor(alpha * T2).astype(np.int64)
+    n_jump = np.maximum(m_hi - m0 + 1, 0)
+    xg, wg = gauss_legendre(8)
+    out = np.zeros(alpha.shape)
+    # every cut adds at most two order-8 panels
+    for sl in _column_blocks(base.size + n_jump, _SUM_BLOCK // 16):
+        al, cnt = alpha[sl], n_jump[sl]
+        ncol = al.size
+        col = np.repeat(np.arange(ncol), cnt)
+        m = np.arange(col.size) + np.repeat(m0[sl] - (np.cumsum(cnt) - cnt), cnt)
+        jumps = m.astype(float) / al[col]
+        inside = (A < jumps) & (jumps < T2)
+        cuts = np.concatenate((np.tile(base, ncol), jumps[inside]))
+        owner = np.concatenate((np.repeat(np.arange(ncol), base.size), col[inside]))
+        order = np.lexsort((cuts, owner))
+        cuts, owner = cuts[order], owner[order]
+        same = owner[1:] == owner[:-1]
+        lo, hi, pc = cuts[:-1][same], cuts[1:][same], owner[1:][same]
+        mid = 0.5 * (lo + hi)
+        lo, hi, pc = np.concatenate((lo, mid)), np.concatenate((mid, hi)), np.tile(pc, 2)
+        half = 0.5 * (hi - lo)
+        t = (lo + half)[:, None] + half[:, None] * xg
+        f = bernoulli_tilde(4, t) * bernoulli_tilde(1, al[pc][:, None] * t) * t**-5
+        out[sl] = np.bincount(pc, weights=np.sum(f * (half[:, None] * wg), axis=1),
+                              minlength=ncol)
+    return out
+
+
+def _mixed_tail_vec(A: float, alpha: np.ndarray, tol: float) -> np.ndarray:
+    """mixed_power_tail(A, alpha_j, tol) for one A and every alpha_j.
+
+    The pure tails, B~3(A), B~4(A), T2 and the integer cuts depend on A and
+    tol only and are computed once; the boundary terms are arrays, the jump
+    series run through _bn_series_vec, the windows through
+    _remainder_windows.
+    """
+    tol_i = tol / 7.0
+    al = alpha.tolist()
+    b1_at_edge = bernoulli_tilde(1, alpha * A)
+    m0 = np.floor(alpha * A).astype(np.int64) + 1
+    inv = 1.0 / alpha
+    pairs = _rational_pairs(inv)
+    a3 = np.array([a**3 for a in al])
+    a4 = np.array([a**4 for a in al])
+
+    total = -bernoulli_tilde(3, A) * b1_at_edge * A**-3 / 3.0
+    total -= (alpha / 3.0) * tilde_power_tail(3, 3.0, A, tol_i)
+    total += (a3 / 3.0) * _bn_series_vec(3, inv, 3.0, m0, tol_i * 3.0 / a3, pairs)
+    total -= bernoulli_tilde(4, A) * b1_at_edge * A**-4 / 4.0
+    total -= (alpha / 4.0) * tilde_power_tail(4, 4.0, A, tol_i)
+    total += (a4 / 4.0) * _bn_series_vec(4, inv, 4.0, m0, tol_i * 4.0 / a4, pairs)
+
+    T2 = max(int(math.ceil(A)) + 1, int(math.ceil((1.0 / (240.0 * tol_i)) ** 0.25)))
+    total += _remainder_windows(A, float(T2), alpha, m0)
     return total
 
 

@@ -20,7 +20,7 @@ settings.register_profile(
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
-# the K2 matrix assembly costs tens of seconds, so it and the spectra it
+# the N = 256 K2 matrix fill costs several seconds, so it and the spectra it
 # builds on are session-scoped and shared by the spectra, calculus, and
 # acceptance test modules
 

@@ -5,7 +5,7 @@ import pytest
 
 from kernel_spectra.cli import main
 from kernel_spectra.quadrature import uniform_rule
-from kernel_spectra.spectra import assemble, eigensolve
+from kernel_spectra.spectra import K2_EIGEN_TOL, assemble, cross_validate_k2, eigensolve
 
 
 def test_spectrum_json_matches_library(capsys):
@@ -33,6 +33,30 @@ def test_spectrum_text_output(capsys):
     assert lam.size == 8 and np.all(np.isfinite(lam))
 
 
+def test_k2_json_matches_library(capsys):
+    assert main(["k2", "--n", "16", "--json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    rule = uniform_rule(4, 4)
+    spec = eigensolve(assemble(rule))
+    xc = cross_validate_k2(rule, spectrum=spec)
+    assert record["n"] == 16
+    assert record["count"] == xc.count == 10
+    assert record["eigenvalues"] == spec.eigenvalues[:10].tolist()
+    assert record["rel_discrepancies"] == xc.rel_discrepancies.tolist()
+    assert record["hs_norm_sq"] == xc.hs_norm_sq
+    assert 0.0 <= record["residual"] <= K2_EIGEN_TOL
+    assert record["k2_fill_s"] > 0.0 and record["eigensolve_s"] > 0.0
+
+
+def test_k2_text_output(capsys):
+    assert main(["k2", "--n", "16"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "n", "count", "eigenvalues", "rel_discrepancies", "residual", "hs_norm_sq",
+        "k2_fill_s", "eigensolve_s",
+    ]
+
+
 @pytest.mark.parametrize("n", ["0", "-4", "30"])
 def test_rejects_bad_grid_size(capsys, n):
     with pytest.raises(SystemExit) as exc:
@@ -47,3 +71,13 @@ def test_requires_a_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code != 0
+
+
+@pytest.mark.parametrize("n", ["0", "-4", "30"])
+def test_k2_rejects_bad_grid_size(capsys, n):
+    with pytest.raises(SystemExit) as exc:
+        main(["k2", "--n", n])
+    assert exc.value.code != 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--n must be a positive multiple of 4" in captured.err

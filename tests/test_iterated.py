@@ -11,6 +11,7 @@ from kernel_spectra.iterated import (
     DIAGONAL_BOUND,
     OFF_DIAGONAL_BOUND,
     K2Evaluator,
+    _k2_row,
     i0_eval,
     i_eval,
     k2_closed,
@@ -19,8 +20,13 @@ from kernel_spectra.iterated import (
     sawtooth_sum,
 )
 from kernel_spectra.kernel import k_eval
-from kernel_spectra.quadrature import composite_rule
-from kernel_spectra.tails import _tilde_tail_vec, tilde_power_tail
+from kernel_spectra.quadrature import composite_rule, uniform_rule
+from kernel_spectra.tails import (
+    _as_rational,
+    _rational_pairs,
+    _tilde_tail_vec,
+    tilde_power_tail,
+)
 
 LOG_2PI_MINUS_74 = math.log(2.0 * math.pi) - 1.75
 
@@ -286,3 +292,68 @@ class TestEvaluatorConfig:
         with ThreadPoolExecutor(max_workers=4) as pool:
             parallel = list(pool.map(lambda p: k2_closed(*p), pairs))
         assert serial == parallel
+
+
+class TestBatchedRow:
+    # the scalar k2_closed is the oracle for the row-batched matrix fill
+    TOL = 1e-7  # cross_validate_k2's default entry tolerance
+
+    def _assert_row_matches_scalar(self, x, ys):
+        ev = K2Evaluator(tol=self.TOL)
+        got = _k2_row(x, ys, self.TOL)
+        ref = np.array([k2_closed(x, float(y), ev) for y in ys])
+        assert np.max(np.abs(got - ref)) <= self.TOL
+
+    def test_full_matrix_n64(self):
+        x = uniform_rule(16, 4).nodes
+        for i in range(x.size):
+            self._assert_row_matches_scalar(float(x[i]), x[i:])
+
+    def test_seeded_entries_n256(self):
+        # ~300 entries: all of the first row's stride-8 columns, the last row,
+        # a stride-8 diagonal and 240 seeded pairs; each row keeps its own
+        # diagonal, so its tightest tolerance is the full row's
+        x = uniform_rule().nodes
+        n = x.size
+        rng = np.random.default_rng(256)
+        i = rng.integers(0, n, 240)
+        k = rng.integers(0, n, 240)
+        pairs = {(min(a, b), max(a, b)) for a, b in zip(i.tolist(), k.tolist())}
+        pairs |= {(0, c) for c in range(0, n, 8)} | {(n - 1, n - 1)}
+        pairs |= {(d, d) for d in range(0, n, 8)}
+        rows = {}
+        for a, b in pairs:
+            rows.setdefault(a, {a}).add(b)
+        assert len(pairs) >= 280
+        for a, cols in rows.items():
+            self._assert_row_matches_scalar(float(x[a]), x[sorted(cols)])
+
+    def test_rational_ratios_take_the_scalar_path(self):
+        # p/q, then 1 and 2 ulp off (inside _as_rational's window) and
+        # 3 ulp off (a near miss), on either side
+        near = {0: [], 1: [], 2: [], 3: []}
+        for q in (1, 2, 3, 7, 12, 16384):
+            for p in (q + 1, 3 * q + 1, 5 * q - 1, 37 * q + 5):
+                up = down = p / q
+                near[0].append(up)
+                for ulps in (1, 2, 3):
+                    up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+                    near[ulps] += [float(up), float(down)]
+        rand = np.random.default_rng(3).uniform(1.0, 900.0, 200).tolist()
+        betas = np.array(near[0] + near[1] + near[2] + near[3] + rand)
+        ref = [_as_rational(b) for b in betas.tolist()]
+        assert _rational_pairs(betas) == ref
+        assert all(r is not None for r in ref[: 5 * len(near[0])])
+        # the same ratios as columns of one row, against the scalar route
+        # (3 ulp near misses exhaust both routes' truncation budget)
+        x = 1.0 / 1024.0
+        b = np.array(near[0] + near[1] + near[2] + rand)
+        self._assert_row_matches_scalar(x, np.unique(x * b[x * b <= 1.0]))
+
+    def test_rejects_bad_columns(self):
+        with pytest.raises(ValueError):
+            _k2_row(0.5, np.array([0.4, 0.7]), self.TOL)
+        with pytest.raises(ValueError):
+            _k2_row(0.5, np.array([0.7, 1.5]), self.TOL)
+        with pytest.raises(ValueError):
+            _k2_row(0.5, np.array([]), self.TOL)

@@ -115,6 +115,18 @@ class TestDeltaR:
             0.011723529851, abs=5e-5
         )
 
+    @pytest.mark.parametrize("a, b, r, tol, cap, ref", [
+        (0.3, 0.7, 0.0, 1e-7, 100_000, 0.31377039576162424),
+        (0.9, 0.11, 1.0, 1e-7, 100_000, 0.1564425094238049),
+        (0.05, 0.06, -0.5, 1e-7, 100_000, 0.6530902248849006),
+        (0.5, 1.0, 2.0, 1e-9, 100_000, 0.07004395530954466),
+        (0.013, 0.47, 0.0, 1e-7, 2000, 0.31462916756179027),
+    ])
+    def test_bit_identical_breakpoints(self, a, b, r, tol, cap, ref):
+        # values of the former row-local breakpoint helper; the cutoff z0 is
+        # at most 1/2, so quadrature.kernel_breakpoints yields the same panels
+        assert delta_r(a, b, r, tol=tol, cap=cap) == ref
+
     def test_nearby_rows_give_small_value(self):
         v = delta_r(1.0, 1.0 - 1e-3, 0.0)
         assert 0.0 < v < 0.05

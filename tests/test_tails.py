@@ -14,6 +14,12 @@ from kernel_spectra.kernel import k_eval
 from kernel_spectra.quadrature import composite_rule, kernel_breakpoints
 from kernel_spectra.tails import (
     _B_POLY,
+    _SUM_BLOCK,
+    _b2_truncations,
+    _bn_series_vec,
+    _direct_sums,
+    _mixed_tail_vec,
+    _rational_pairs,
     _window_integral,
     b2_series,
     bn_series,
@@ -162,6 +168,50 @@ class TestRemainderBound:
         for beta in (math.pi, 3.2):
             bounds = [series_remainder_bound(beta, M) for M in (1000, 10_000, 100_000)]
             assert bounds[0] > bounds[1] > bounds[2]
+
+
+class TestBatchedSeries:
+    def test_direct_sums_match_plain_dot(self):
+        # ragged segments, one longer than a block, one empty, one of a term
+        lo = np.array([1, 5, 2048, 9, 3])
+        hi = np.array([4096, 3 * _SUM_BLOCK + 17, 70_000, 8, 3])
+        beta = np.array([math.pi, 3.2, math.sqrt(2.0), 1.5, 0.77])
+        for n, s in ((2, 2.0), (3, 3.0), (4, 4.0)):
+            got = _direct_sums(n, s, beta, lo, hi)
+            for j in range(beta.size):
+                m = np.arange(lo[j], hi[j] + 1, dtype=float)
+                ref = float(np.dot(bernoulli_tilde(n, m * beta[j]), m**-s))
+                assert got[j] == pytest.approx(ref, rel=1e-13, abs=1e-16), (n, j)
+
+    # same terms, cuts and truncations as the scalar routines; only the
+    # summation order differs, so agreement is to rounding, far below tol
+    def test_series_vec_matches_scalar(self):
+        beta = np.array([1.0, 2.5, math.pi, 7.0 / 3.0, 13.37, 250.01])
+        m_start = np.array([1, 3, 2, 5, 1, 40])
+        for n, s, tol in ((2, 2.0, 1e-9), (3, 3.0, 1e-10), (4, 4.0, 1e-10)):
+            tols = np.full(beta.size, tol)
+            got = _bn_series_vec(n, beta, s, m_start, tols, _rational_pairs(beta))
+            ref = [bn_series(n, b, s, int(m), tol) for b, m in zip(beta, m_start)]
+            assert np.max(np.abs(got - ref)) <= 1e-15
+
+    def test_mixed_tail_vec_matches_scalar(self):
+        for A, tol in ((1.0, 1e-9), (3.7, 1e-11), (41.5, 1e-12), (900.25, 1e-13)):
+            alpha = np.array([1.0, 0.999, 0.5, 1.0 / 3.0, 0.123, 0.01])
+            got = _mixed_tail_vec(A, alpha, tol)
+            ref = [mixed_power_tail(A, float(a), tol) for a in alpha]
+            assert np.max(np.abs(got - ref)) <= 1e-15, A
+
+    def test_truncations_match_scalar_doubling(self):
+        rng = np.random.default_rng(5)
+        beta = rng.uniform(1.0, 400.0, 40)
+        m_start = rng.integers(1, 600, 40)
+        tol = 10.0 ** rng.uniform(-11.0, -5.0, 40)
+        got = _b2_truncations(beta, m_start, tol)
+        for b, m0, t, M in zip(beta.tolist(), m_start.tolist(), tol.tolist(), got.tolist()):
+            ref = max(m0 + 256, 2048)
+            while series_remainder_bound(b, ref) > t:
+                ref *= 2
+            assert M == ref
 
 
 class TestBnSeries:
