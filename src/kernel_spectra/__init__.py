@@ -6,7 +6,7 @@ coefficients, asymptotic residuals), and zeta-function identity checks.
 """
 
 from .bernoulli import bernoulli_tilde, frac, log_factorial
-from .kernel import KernelModel, delta_r, h_eval, k_eval
+from .kernel import delta_r, h_eval, k_eval
 from .quadrature import (
     QuadratureRule,
     composite_rule,

@@ -88,24 +88,8 @@ class K2Evaluator:
             if 1.0 / (24.0 * self.t_integral**2) > self.tol:
                 raise ValueError("t_integral too small for tol: integral tail exceeds it")
 
-    def closed(self, x: float, y: float) -> float:
-        return k2_closed(x, y, self)
 
-    def quadrature(self, x: float, y: float) -> float:
-        return k2_quadrature(x, y, self)
-
-    def diag_exact(self, x: float) -> float:
-        return k2_diag_exact(x)
-
-
-_DEFAULT = None
-
-
-def _default_evaluator() -> K2Evaluator:
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = K2Evaluator()
-    return _DEFAULT
+_DEFAULT = K2Evaluator()
 
 
 def sawtooth_sum(x: float, y: float, tol: float = 1e-10) -> float:
@@ -152,6 +136,13 @@ def _k2_row(x: float, ys: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _closed_literal(x: float, y: float, ev: K2Evaluator) -> float:
+    """The closed form with the literal truncations m_series and t_integral.
+
+    Kept as an independent oracle for the accelerated route, whose certified
+    tails and remainder bounds it replaces by plain truncation:
+    tests/test_iterated.py::TestRouteAgreement::test_literal_route_agrees
+    compares the two.
+    """
     A = 1.0 / x
     beta = y / x
     T = float(ev.t_integral)
@@ -183,7 +174,7 @@ def k2_closed(x: float, y: float, evaluator: K2Evaluator | None = None) -> float
     """
     if not (0.0 < x <= 1.0 and 0.0 < y <= 1.0):
         raise ValueError("k2_closed requires x, y in (0, 1]")
-    ev = evaluator if evaluator is not None else _default_evaluator()
+    ev = evaluator if evaluator is not None else _DEFAULT
     if ev.accelerated:
         return _closed_accelerated(x, y, ev.tol)
     return _closed_literal(x, y, ev)
@@ -203,7 +194,7 @@ def k2_quadrature(x: float, y: float, evaluator: K2Evaluator | None = None) -> f
         return 0.0
     if x > y:
         x, y = y, x
-    ev = evaluator if evaluator is not None else _default_evaluator()
+    ev = evaluator if evaluator is not None else _DEFAULT
     tol = ev.tol
     eps = min(max(math.sqrt(6.0 * tol), 1.0 / (x * 4.0e6)), 0.5)
     u = 1.0 / x

@@ -9,14 +9,11 @@ only approximation is the certified small-z cutoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .bernoulli import frac
 from .quadrature import kernel_breakpoints
 
-__all__ = ["k_eval", "h_eval", "delta_r", "KernelModel"]
+__all__ = ["k_eval", "h_eval", "delta_r"]
 
 
 def k_eval(x, y):
@@ -47,17 +44,6 @@ def h_eval(v):
     if np.ndim(out) == 0:
         return float(out)
     return out
-
-
-@dataclass(frozen=True)
-class KernelModel:
-    """Configuration for row-distance quadrature."""
-
-    delta_tol: float = 1e-7
-    breakpoint_cap: int = 100_000
-
-    def delta(self, a: float, b: float, r: float) -> float:
-        return delta_r(a, b, r, tol=self.delta_tol, cap=self.breakpoint_cap)
 
 
 def delta_r(a: float, b: float, r: float, tol: float = 1e-7,

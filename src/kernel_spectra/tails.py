@@ -7,8 +7,9 @@ three primitives:
   integer-cut panels plus an Euler-Maclaurin-style recursion at integer T
   whose boundary terms vanish and whose remainder is certified;
 * the sawtooth series sum_{m >= m0} B~n(m beta) m^(-s): Hurwitz-zeta exact
-  over residue classes when beta is (within rounding) rational with a small
-  denominator, otherwise direct chunks with a Fourier-Dirichlet remainder
+  over residue classes when beta is a rational p/q with a small denominator
+  or close enough to one that the certified shift to p/q fits the
+  tolerance, otherwise direct chunks with a Fourier-Dirichlet remainder
   bound;
 * the mixed tail int_A^inf B~2(t) B~1(alpha t) t^(-3) dt: two integration
   by parts against the B~1 factor (each step emits a pure tail and a jump
@@ -28,11 +29,10 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from scipy.special import zeta as hurwitz_zeta
 
-from .bernoulli import bernoulli_tilde, frac
+from .bernoulli import bernoulli_tilde
 from .quadrature import composite_rule, gauss_legendre
 
 __all__ = [
-    "periodic_power_tail",
     "tilde_power_tail",
     "b2_series",
     "bn_series",
@@ -69,48 +69,23 @@ def _poly_max_abs(p: Polynomial) -> float:
     return float(max(abs(p(c)) for c in cand))
 
 
-def periodic_power_tail(p: Polynomial, q: float, T: int, depth: int = 6):
-    """(value, bound) for int_T^inf p({t}) t^(-q) dt at integer T >= 1.
+@lru_cache(maxsize=None)
+def _tail_ladder(n: int, q: float, depth: int = 6):
+    """The by-parts ladder for int_T^inf B~n(t) t^(-q) dt at integer T >= 1.
 
-    Recursion: split p into its mean m plus an oscillation with periodic
-    antiderivative h (h(0) = h(1) = 0, so boundary terms vanish at integer
-    T).  The mean integrates exactly; by parts lifts the rest to q+1:
+    Recursion: split the piece p of B~n into its mean m plus an oscillation
+    with periodic antiderivative h (h(0) = h(1) = 0, so boundary terms
+    vanish at integer T).  The mean integrates exactly; by parts lifts the
+    rest to q+1:
 
         int_T^inf p({t}) t^(-q) = m T^(1-q)/(q-1) + q int_T^inf h({t}) t^(-q-1)
 
-    After `depth` levels the remainder is bounded by sup|p_d| times the
-    power tail, with the accumulated q multipliers.
-    """
-    if T < 1 or T != int(T):
-        raise ValueError("T must be a positive integer")
-    value = 0.0
-    mult = 1.0
-    for _ in range(depth):
-        m = _poly_mean(p)
-        if q <= 1.0:
-            # only arises at the first level, for mean-free integrands
-            if abs(m) > 1e-14:
-                raise ValueError("divergent tail: q <= 1 with nonzero mean")
-        else:
-            value += mult * m * T ** (1.0 - q) / (q - 1.0)
-        h = (p - m).integ()
-        h = h - h(0.0)
-        mult *= q
-        p = h
-        q += 1.0
-    bound = mult * _poly_max_abs(p) * T ** (1.0 - q) / (q - 1.0)
-    return value, abs(bound)
-
-
-@lru_cache(maxsize=None)
-def _tail_ladder(n: int, q: float, depth: int = 6):
-    """The by-parts ladder of periodic_power_tail for p = B~n, precomputed.
-
-    Returns (terms, (bound_coef, bound_q)) with terms = ((coef_i, q_i), ...)
-    so that the tail at integer T is sum coef_i T^(1-q_i)/(q_i - 1) and the
-    remainder bound |bound_coef T^(1-bound_q)/(bound_q - 1)|.  Arithmetic
-    mirrors periodic_power_tail exactly; this only caches the polynomial
-    work, which depends on (n, q, depth) alone.
+    After `depth` levels the remainder is bounded by sup|p_depth| times the
+    power tail, with the accumulated q multipliers.  Returns
+    (terms, (bound_coef, bound_q)) with terms = ((coef_i, q_i), ...) so that
+    the tail at T is sum coef_i T^(1-q_i)/(q_i - 1) and the remainder bound
+    |bound_coef T^(1-bound_q)/(bound_q - 1)|; the polynomial work depends on
+    (n, q, depth) alone and is cached.
     """
     p = _B_POLY[n]
     terms = []
@@ -167,10 +142,12 @@ def tilde_power_tail(n: int, q: float, A: float, tol: float = 1e-11) -> float:
 
     Numeric window [A, T] over integer-cut panels, then the certified
     recursion at integer T, with T grown until its remainder bound fits.
-    q may be as small as 1 when B~n has zero mean (n >= 1 always does).
+    Any q > 0 converges, B~n having zero mean.
     """
     if A < 1.0:
         raise ValueError("tilde_power_tail requires A >= 1")
+    if not q > 0.0:
+        raise ValueError(f"tilde_power_tail requires q > 0, got {q}")
     if n not in _B_POLY:
         raise ValueError(f"order must be 1..4, got {n}")
     T = max(int(math.ceil(A)), 2)
@@ -248,19 +225,45 @@ def series_remainder_bound(beta: float, M: int, k_max: int = _K_MAX) -> float:
 
 
 def _as_rational(beta: float, max_den: int = 16384) -> tuple[int, int] | None:
-    """(p, q) when beta sits within 2 ulp of p/q with q <= max_den, else None.
+    """The best p/q with q <= max_den when it lies within 1e-13 beta, else None.
 
     Resonant frequencies (||k beta|| = 0 at multiples of q) kill the Fourier
-    bound's decay, so near-rational ratios are summed exactly instead.  The
-    2 ulp window means a misidentified irrational costs at most ~1e-13 on
-    the series value, far under the tolerances used here.
+    bound's decay, so near-rational ratios are summed exactly at p/q
+    instead, wherever _rational_path certifies the shift from beta to p/q.
     """
     if not math.isfinite(beta) or beta <= 0.0:
         return None
     fr = Fraction(beta).limit_denominator(max_den)
-    if abs(beta - fr.numerator / fr.denominator) <= 2.0 * math.ulp(beta):
-        return fr.numerator, fr.denominator
-    return None
+    p, q = fr.numerator, fr.denominator
+    return (p, q) if abs(beta - p / q) <= 1e-13 * beta else None
+
+
+# sup |d/dt B~n| = n sup |B~(n-1)|; B~1 jumps and has no such constant
+_B_LIP = {2: 1.0, 3: 0.5, 4: 1.0 / (3.0 * math.sqrt(3.0))}
+
+
+def _rational_path(n: int, s: float, beta: float, tol: float, pq) -> tuple[int, int] | None:
+    """pq when sum_m B~n(m beta) m^(-s) may be summed exactly at p/q, else None.
+
+    Within 2 ulp of p/q the shift is rounding.  Further out, with
+    delta = |beta - p/q|, term m moves by at most L_n m delta m^(-s), and
+    for B~2 also by at most its range 1/4, so the series moves by at most
+    delta (2 + ln(1/(4 delta))) for B~2 at s = 2 and L_n delta zeta(s - 1)
+    for s >= 3; p/q is taken when that shift fits within tol.  B~1 jumps,
+    so only the 2 ulp window applies to it.
+    """
+    if pq is None:
+        return None
+    delta = abs(beta - pq[0] / pq[1])
+    if delta <= 2.0 * math.ulp(beta):
+        return pq
+    if n == 2 and s == 2.0 and delta <= 1.0 / 16.0:  # the bound needs 1/(4 delta) >= 4
+        shift = delta * (2.0 + math.log(0.25 / delta))
+    elif n in _B_LIP and s >= 3.0:
+        shift = _B_LIP[n] * delta * float(hurwitz_zeta(s - 1.0, 1.0))
+    else:
+        return None
+    return pq if shift <= tol else None
 
 
 def _rational_series(n: int, p: int, q: int, s: float, m_start: int) -> float:
@@ -314,13 +317,13 @@ def _direct_sums(n: int, s: float, beta, m_lo, m_hi) -> np.ndarray:
 def b2_series(beta: float, m_start: int, tol: float = 1e-10) -> float:
     """sum_{m >= m_start} B~2(m beta) m^(-2), absolute error below tol.
 
-    Rational beta (integers included) is summed exactly over residue
-    classes mod the denominator.  Otherwise: direct chunks out to M, with
+    Rational beta (integers included), or beta whose shift to a nearby p/q
+    _rational_path certifies, is summed exactly over residue classes mod q.  Otherwise: direct chunks out to M, with
     M doubled until the certified Fourier remainder bound fits under tol.
     """
     if m_start < 1:
         raise ValueError("m_start must be >= 1")
-    pq = _as_rational(beta)
+    pq = _rational_path(2, 2.0, beta, tol, _as_rational(beta))
     if pq is not None:
         return _rational_series(2, pq[0], pq[1], 2.0, m_start)
     M = max(m_start + 256, 2048)
@@ -337,7 +340,7 @@ def bn_series(n: int, beta: float, s: float, m_start: int, tol: float = 1e-10) -
         raise ValueError(f"order must be 1..4, got {n}")
     if s < 2.0:
         raise ValueError("bn_series requires s >= 2")
-    pq = _as_rational(beta)
+    pq = _rational_path(n, s, beta, tol, _as_rational(beta))
     if pq is not None:
         return _rational_series(n, pq[0], pq[1], s, m_start)
     if n == 2 and s == 2.0:
@@ -397,20 +400,20 @@ def mixed_power_tail(A: float, alpha: float, tol: float = 1e-11) -> float:
 # choice, truncation and certificate per column, so the scalar routines above
 # stay the oracle for them (tests/test_iterated.py::TestBatchedRow).
 
-# Legendre's theorem needs 2 ulp(beta) < 1/(2 max_den^2); it holds below this
-_CF_BETA_MAX = float(1 << 20)
+# Legendre's theorem needs 1e-13 beta < 1/(2 max_den^2); it holds below this
+_CF_BETA_MAX = float(1 << 14)
 
 
 def _rational_pairs(beta: np.ndarray, max_den: int = 16384) -> list:
     """_as_rational(b, max_den) for every entry b of beta.
 
     A continued-fraction expansion, exact in int64 over the dyadic value of
-    each beta in [1/512, 2^20), flags the entries that have a convergent
+    each beta in [1/512, 2^14), flags the entries that have a convergent
     p/q with q <= max_den within 1e-13 relative; only flagged entries (and
     any outside that range) run the exact _as_rational.  No accepted beta
-    escapes the flag: _as_rational accepts only p/q within ~3 ulp of beta
-    (under 1e-15 relative), far inside 1/(2 q^2), and by Legendre's theorem
-    such a p/q is a convergent of beta.
+    escapes the flag: _as_rational accepts only p/q within 1e-13 beta, which
+    below 2^14 is inside 1/(2 q^2), and by Legendre's theorem such a p/q is
+    a convergent of beta.
     """
     beta = np.asarray(beta, dtype=float)
     flag = ~((beta >= 1.0 / 512.0) & (beta < _CF_BETA_MAX))
@@ -495,8 +498,11 @@ def _bn_series_vec(n: int, beta: np.ndarray, s: float, m_start: np.ndarray,
                    tol: np.ndarray, pairs: list) -> np.ndarray:
     """bn_series(n, beta[j], s, m_start[j], tol[j]) for every column j.
 
-    pairs is _rational_pairs(beta), which callers share between series.
+    pairs is _rational_pairs(beta), which callers share between series;
+    _rational_path then picks each column's path as bn_series does.
     """
+    pairs = [_rational_path(n, s, b, t, pq)
+             for b, t, pq in zip(beta.tolist(), tol.tolist(), pairs)]
     out = np.empty(beta.shape)
     for j, pq in enumerate(pairs):
         if pq is not None:

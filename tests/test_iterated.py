@@ -345,10 +345,33 @@ class TestBatchedRow:
         assert _rational_pairs(betas) == ref
         assert all(r is not None for r in ref[: 5 * len(near[0])])
         # the same ratios as columns of one row, against the scalar route
-        # (3 ulp near misses exhaust both routes' truncation budget)
         x = 1.0 / 1024.0
-        b = np.array(near[0] + near[1] + near[2] + rand)
+        b = np.array(near[0] + near[1] + near[2] + near[3] + rand)
         self._assert_row_matches_scalar(x, np.unique(x * b[x * b <= 1.0]))
+
+    def test_prefilter_covers_the_acceptance_window(self):
+        # p/q off by 9e-14 relative, inside _as_rational's 1e-13 window, up
+        # to and past the 2^14 where Legendre's theorem stops covering it
+        betas = [p / q * (1.0 + r)
+                 for q in (1, 7, 12, 16383, 16384)
+                 for p in (q + 1, 37 * q + 5, 16383 * q + 1, 32768 * q + 1, 900000 * q + 1)
+                 for r in (-9e-14, 9e-14)]
+        ref = [_as_rational(b) for b in betas]
+        assert all(r is not None for r in ref)
+        assert _rational_pairs(np.array(betas)) == ref
+
+    @pytest.mark.parametrize("ulps", [3, 4, 8, 64])
+    def test_near_rational_ratio_outside_the_ulp_window(self, ulps):
+        # y/x a few ulp above 2 once exhausted the Fourier path's truncation
+        # budget; the shift to p/q = 2 is now certified instead
+        x = 1.0 / 1024.0
+        beta = 2.0
+        for _ in range(ulps):
+            beta = float(np.nextafter(beta, np.inf))
+        ev = K2Evaluator(tol=self.TOL)
+        closed = k2_closed(x, x * beta, ev)
+        assert abs(closed - k2_quadrature(x, x * beta, ev)) <= 2.0 * self.TOL
+        self._assert_row_matches_scalar(x, np.array([x, x * beta]))
 
     def test_rejects_bad_columns(self):
         with pytest.raises(ValueError):

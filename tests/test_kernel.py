@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernel_spectra.kernel import KernelModel, delta_r, h_eval, k_eval
+from kernel_spectra.kernel import delta_r, h_eval, k_eval
 from kernel_spectra.quadrature import composite_rule, kernel_breakpoints
 
 
@@ -182,20 +182,7 @@ class TestDeltaR:
         # |K - K'| <= 1 pointwise, so the integral sits under 1/(r+1)
         assert 0.0 <= v <= 1.0 / (r + 1.0) + 1e-9
 
-
-class TestKernelModel:
-    def test_delta_method_matches_function(self):
-        model = KernelModel()
-        assert model.delta(0.8, 0.4, 1.0) == delta_r(0.8, 0.4, 1.0)
-
-    def test_frozen(self):
-        model = KernelModel()
-        with pytest.raises(Exception):
-            model.delta_tol = 1e-3
-
     def test_custom_tolerance_used(self):
-        loose = KernelModel(delta_tol=1e-2)
-        tight = KernelModel(delta_tol=1e-10)
-        vl = loose.delta(0.9, 0.2, 1.0)
-        vt = tight.delta(0.9, 0.2, 1.0)
+        vl = delta_r(0.9, 0.2, 1.0, tol=1e-2)
+        vt = delta_r(0.9, 0.2, 1.0, tol=1e-10)
         assert vl == pytest.approx(vt, abs=1e-2)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +51,17 @@ class TestGaussLegendre:
         x, w = gauss_legendre(12)
         np.testing.assert_allclose(x, -x[::-1], atol=0)
         np.testing.assert_allclose(w, w[::-1], atol=0)
+
+    @pytest.mark.parametrize("order", [2, 16, 64])
+    def test_against_mpmath(self, order):
+        # nodes are the roots r of P_n, polished from the float nodes at 40
+        # digits; weights 2 (1 - r^2) / (n P_(n-1)(r))^2
+        x, w = gauss_legendre(order)
+        with mp.workdps(40):
+            roots = [mp.findroot(lambda t: mp.legendre(order, t), mp.mpf(xi)) for xi in x]
+            weights = [2 * (1 - r**2) / (order * mp.legendre(order - 1, r)) ** 2 for r in roots]
+        np.testing.assert_allclose(x, np.array(roots, dtype=float), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(w, np.array(weights, dtype=float), rtol=0, atol=1e-14)
 
 
 class TestCompositeRule:

@@ -13,19 +13,18 @@ from kernel_spectra.bernoulli import bernoulli_tilde
 from kernel_spectra.kernel import k_eval
 from kernel_spectra.quadrature import composite_rule, kernel_breakpoints
 from kernel_spectra.tails import (
-    _B_POLY,
     _SUM_BLOCK,
     _b2_truncations,
     _bn_series_vec,
     _direct_sums,
     _mixed_tail_vec,
     _rational_pairs,
+    _tail_at,
     _window_integral,
     b2_series,
     bn_series,
     kernel_moment,
     mixed_power_tail,
-    periodic_power_tail,
     series_remainder_bound,
     tilde_power_tail,
 )
@@ -66,6 +65,8 @@ class TestTildePowerTail:
             tilde_power_tail(1, 2.0, 0.5)
         with pytest.raises(ValueError):
             tilde_power_tail(7, 2.0, 1.0)
+        with pytest.raises(ValueError, match="q > 0"):
+            tilde_power_tail(1, 0.0, 2.0)
 
     @given(
         a=st.floats(min_value=1.0, max_value=40.0),
@@ -84,28 +85,28 @@ class TestTildePowerTail:
 
 
 class TestPeriodicPowerTail:
+    # the by-parts ladder behind tilde_power_tail, evaluated at integer T
     def test_depth_consistency(self):
-        p = _B_POLY[2]
-        v6, b6 = periodic_power_tail(p, 2.0, 3, depth=6)
-        v8, b8 = periodic_power_tail(p, 2.0, 3, depth=8)
+        v6, b6 = _tail_at(2, 2.0, 3, depth=6)
+        v8, b8 = _tail_at(2, 2.0, 3, depth=8)
         assert abs(v6 - v8) <= b6 + b8
 
     def test_shift_consistency(self):
-        p = _B_POLY[2]
-        v3, b3 = periodic_power_tail(p, 2.0, 3, depth=8)
+        v3, b3 = _tail_at(2, 2.0, 3, depth=8)
         w = _window_integral(lambda t: bernoulli_tilde(2, t) * t**-2, 3.0, 6.0)
-        v6, b6 = periodic_power_tail(p, 2.0, 6, depth=8)
+        v6, b6 = _tail_at(2, 2.0, 6, depth=8)
         assert abs(v3 - (w + v6)) <= b3 + b6 + 1e-14
 
     def test_q_one_zero_mean(self):
         # conditionally convergent case, only legal for zero-mean pieces
-        v, b = periodic_power_tail(_B_POLY[1], 1.0, 5, depth=6)
+        v, b = _tail_at(1, 1.0, 5, depth=6)
         w = _window_integral(lambda t: bernoulli_tilde(1, t) / t, 5.0, 3000.0)
         assert abs(v - w) <= b + 1.0 / (6.0 * 3000.0)
 
     def test_q_one_nonzero_mean_rejected(self):
-        with pytest.raises(ValueError):
-            periodic_power_tail(_B_POLY[2] + 1.0, 1.0, 4)
+        # from q = 0 the second level reaches q = 1 with (B~2 - 1/6)/2, of mean -1/12
+        with pytest.raises(ValueError, match="nonzero mean"):
+            _tail_at(1, 0.0, 4)
 
 
 class TestB2Series:
@@ -193,6 +194,16 @@ class TestBatchedSeries:
             got = _bn_series_vec(n, beta, s, m_start, tols, _rational_pairs(beta))
             ref = [bn_series(n, b, s, int(m), tol) for b, m in zip(beta, m_start)]
             assert np.max(np.abs(got - ref)) <= 1e-15
+
+    def test_series_vec_follows_scalar_path_near_rationals(self):
+        # 2 (1 + 9e-14) lies inside _as_rational's window; the shift to p/q = 2
+        # (about 1.5e-13 here) is certified under tol 1e-10 but not 1e-14
+        beta = np.full(2, 2.0 * (1.0 + 9e-14))
+        tols = np.array([1e-10, 1e-14])
+        got = _bn_series_vec(3, beta, 3.0, np.ones(2, dtype=np.int64), tols, _rational_pairs(beta))
+        ref = [bn_series(3, float(b), 3.0, 1, float(t)) for b, t in zip(beta, tols)]
+        assert np.max(np.abs(got - ref)) <= 1e-15
+        assert abs(ref[0] - ref[1]) <= 1e-10
 
     def test_mixed_tail_vec_matches_scalar(self):
         for A, tol in ((1.0, 1e-9), (3.7, 1e-11), (41.5, 1e-12), (900.25, 1e-13)):
