@@ -8,8 +8,8 @@ constant times min{x,y}/max{x,y}).  Three independent evaluation routes:
   staircase rows, panels split at every jump of either row, plus a
   certified correction for the (0, eps] tail computed in 1/(xz) space;
 * closed form: a four-term formula (boundary product, two tail integrals
-  over [1/x, inf), and a sawtooth series), either via the certified tail
-  engine or via the literal truncations M and T;
+  over [1/x, inf), and a sawtooth series) through the certified tail
+  engine, one row of columns y at a time (a scalar call is one column);
 * diagonal: a Stirling-type expression through log_factorial, valid only
   at x = y.
 
@@ -33,7 +33,6 @@ from .quadrature import composite_rule, kernel_breakpoints
 from .tails import (
     _bn_series_vec,
     _direct_sums,
-    _mixed_tail_vec,
     _rational_pairs,
     _tilde_tail_vec,
     b2_series,
@@ -61,32 +60,13 @@ DIAGONAL_BOUND = 1.0 / 6.0 + 1.0 / (36.0 * math.sqrt(3.0))
 
 @dataclass(frozen=True)
 class K2Evaluator:
-    """Configuration for the iterated-kernel routes.
-
-    tol is the absolute target for a single evaluation.  m_series and
-    t_integral are the literal truncations of the closed form (series tail
-    <= (1/6)/m_series, integral tail <= 1/(24 t_integral^2)); they must be
-    large enough for tol.  accelerated=True replaces both truncations with
-    the certified tail engine, which is faster and error-budgeted, and
-    canonicalizes (x, y) to x <= y via symmetry.
-    """
+    """Configuration for the iterated-kernel routes: tol, the absolute target of one evaluation."""
 
     tol: float = 1e-8
-    m_series: int = 0  # 0 means: derive from tol
-    t_integral: float = 1e4
-    accelerated: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.tol < 1.0:
             raise ValueError(f"tol must be in (0, 1), got {self.tol}")
-        if self.m_series == 0:
-            object.__setattr__(self, "m_series", int(math.ceil(1.0 / (6.0 * self.tol))))
-        if not self.accelerated:
-            # the truncation fields only drive the literal route
-            if self.m_series < 1.0 / (6.0 * self.tol):
-                raise ValueError("m_series too small for tol: series tail exceeds it")
-            if 1.0 / (24.0 * self.t_integral**2) > self.tol:
-                raise ValueError("t_integral too small for tol: integral tail exceeds it")
 
 
 _DEFAULT = K2Evaluator()
@@ -99,34 +79,22 @@ def sawtooth_sum(x: float, y: float, tol: float = 1e-10) -> float:
     return b2_series(y / x, math.floor(1.0 / y) + 1, tol)
 
 
-def _closed_accelerated(x: float, y: float, tol: float) -> float:
-    if x > y:
-        x, y = y, x  # symmetric; keeps the mixed-tail ratio at most 1
-    A = 1.0 / x
-    t1 = -0.5 * x * bernoulli_tilde(2, A) * bernoulli_tilde(1, 1.0 / y)
-    t2 = mixed_power_tail(A, x / y, tol * x / 3.0) / x
-    t3 = -0.5 / y * tilde_power_tail(2, 2.0, A, 2.0 * y * tol / 3.0)
-    pref = 0.5 * x / (y * y)
-    t4 = pref * b2_series(y / x, math.floor(1.0 / y) + 1, tol / (3.0 * pref))
-    return t1 + t2 + t3 + t4
-
-
 def _k2_row(x: float, ys: np.ndarray, tol: float) -> np.ndarray:
-    """_closed_accelerated(x, y, tol) for one x and every y in ys, all >= x.
+    """The closed form K2(x, y) within tol for one x and every y in ys, all >= x.
 
     One row of the iterated-kernel matrix in one pass: what depends on
     A = 1/x alone (the pure tails, B~n(A), the window's integer cuts) is
     computed once, the rest as arrays over the columns, each column keeping
-    the scalar route's path choice, truncations and certificates.  The
-    t3 tail is taken once at the tightest column tolerance, 2 min(ys) tol/3,
-    which meets every column's.
+    its own path choice, truncations and certificates.  The t3 tail is
+    taken once at the tightest column tolerance, 2 min(ys) tol/3, which
+    meets every column's; t2, t3 and t4 take tol/3 each.
     """
     ys = np.asarray(ys, dtype=float)
     if not (ys.size and 0.0 < x <= float(ys.min()) and float(ys.max()) <= 1.0):
         raise ValueError("_k2_row requires 0 < x <= y <= 1 for every y")
     A = 1.0 / x
     t1 = -0.5 * x * bernoulli_tilde(2, A) * bernoulli_tilde(1, 1.0 / ys)
-    t2 = _mixed_tail_vec(A, x / ys, tol * x / 3.0) / x
+    t2 = mixed_power_tail(A, x / ys, tol * x / 3.0) / x
     t3 = -0.5 / ys * tilde_power_tail(2, 2.0, A, 2.0 * float(ys.min()) * tol / 3.0)
     pref = 0.5 * x / (ys * ys)
     m_start = np.floor(1.0 / ys).astype(np.int64) + 1
@@ -135,19 +103,20 @@ def _k2_row(x: float, ys: np.ndarray, tol: float) -> np.ndarray:
     return t1 + t2 + t3 + t4
 
 
-def _closed_literal(x: float, y: float, ev: K2Evaluator) -> float:
-    """The closed form with the literal truncations m_series and t_integral.
+def _closed_literal(x: float, y: float, tol: float) -> float:
+    """The closed form with plain truncations in place of certified tails.
 
-    Kept as an independent oracle for the accelerated route, whose certified
-    tails and remainder bounds it replaces by plain truncation:
+    The series stops at M = ceil(1/(6 tol)) (tail <= 1/(6 M)), the integrals
+    at T = 1e4 (tail <= 1/(24 T^2) = 4.2e-10).  Kept as an independent oracle
+    for k2_closed, which
     tests/test_iterated.py::TestRouteAgreement::test_literal_route_agrees
-    compares the two.
+    compares with it.
     """
     A = 1.0 / x
     beta = y / x
-    T = float(ev.t_integral)
+    T = 1e4
     if A >= T:
-        raise ValueError("t_integral must exceed 1/x for the literal route")
+        raise ValueError("the literal route needs 1/x below its truncation T = 1e4")
     base = np.arange(math.ceil(A), T + 0.5)
     # the second row's factor jumps where x t / y = t / beta is an integer
     jumps = beta * np.arange(math.ceil(A / beta), math.floor(T / beta) + 1.0)
@@ -161,7 +130,8 @@ def _closed_literal(x: float, y: float, ev: K2Evaluator) -> float:
     # B~2 has zero mean, so plain truncation at T leaves under T^-2/(36 sqrt 3)
     i2 = rule2.integrate(lambda t: bernoulli_tilde(2, t) * t**-2)
     m0 = math.floor(1.0 / y) + 1
-    series = float(_direct_sums(2, 2.0, beta, m0, ev.m_series + math.ceil(1.0 / y))[0])
+    m_series = math.ceil(1.0 / (6.0 * tol))
+    series = float(_direct_sums(2, 2.0, beta, m0, m_series + math.ceil(1.0 / y))[0])
     t1 = -0.5 * x * bernoulli_tilde(2, A) * bernoulli_tilde(1, 1.0 / y)
     return t1 + i1 / x - 0.5 * i2 / y + 0.5 * x / (y * y) * series
 
@@ -169,15 +139,14 @@ def _closed_literal(x: float, y: float, ev: K2Evaluator) -> float:
 def k2_closed(x: float, y: float, evaluator: K2Evaluator | None = None) -> float:
     """Four-term closed form for K2(x, y); x, y in (0, 1].
 
-    The accelerated route is the oracle for the row-batched form that fills
-    the iterated-kernel matrix (tests/test_iterated.py::TestBatchedRow).
+    A one-column row of _k2_row, the form that fills the iterated-kernel
+    matrix; (x, y) is taken as (min, max) by symmetry, which keeps the
+    mixed-tail ratio at most 1.
     """
     if not (0.0 < x <= 1.0 and 0.0 < y <= 1.0):
         raise ValueError("k2_closed requires x, y in (0, 1]")
     ev = evaluator if evaluator is not None else _DEFAULT
-    if ev.accelerated:
-        return _closed_accelerated(x, y, ev.tol)
-    return _closed_literal(x, y, ev)
+    return float(_k2_row(min(x, y), np.array([max(x, y)]), ev.tol)[0])
 
 
 def k2_quadrature(x: float, y: float, evaluator: K2Evaluator | None = None) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# k2_closed, the scalar oracle of the batched K2 fill, stays importable from
+# k2_closed (one entry of the K2 fill, unused here) stays importable from
 # here: bench/test_bench.py checks that the span tracer wraps it in this module
 from .iterated import K2Evaluator, _k2_row, k2_closed, k2_diag_exact  # noqa: F401
 from .kernel import k_eval

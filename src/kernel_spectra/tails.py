@@ -54,6 +54,11 @@ _B_SUP = {1: 0.5, 2: 1.0 / 6.0, 3: 1.0 / (12.0 * math.sqrt(3.0)), 4: 1.0 / 30.0}
 _VEC_BLOCK = 1 << 18
 
 
+def _check_tol(tol: float) -> None:
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+
+
 def _poly_mean(p: Polynomial) -> float:
     return float(p.integ()(1.0))
 
@@ -144,12 +149,13 @@ def tilde_power_tail(n: int, q: float, A: float, tol: float = 1e-11) -> float:
     recursion at integer T, with T grown until its remainder bound fits.
     Any q > 0 converges, B~n having zero mean.
     """
-    if A < 1.0:
-        raise ValueError("tilde_power_tail requires A >= 1")
+    if not A >= 1.0:
+        raise ValueError(f"tilde_power_tail requires A >= 1, got {A}")
     if not q > 0.0:
         raise ValueError(f"tilde_power_tail requires q > 0, got {q}")
     if n not in _B_POLY:
         raise ValueError(f"order must be 1..4, got {n}")
+    _check_tol(tol)
     T = max(int(math.ceil(A)), 2)
     for _ in range(64):
         tail, bound = _tail_at(n, q, T)
@@ -282,7 +288,7 @@ def _rational_series(n: int, p: int, q: int, s: float, m_start: int) -> float:
 
 # no temporary of the batched sums and windows holds more than this many terms
 _SUM_BLOCK = 1 << 14
-# b2_series gives up doubling its truncation M beyond this
+# _b2_truncations gives up doubling the B~2 truncation M beyond this
 _M_BUDGET = 1 << 28
 
 
@@ -314,101 +320,25 @@ def _direct_sums(n: int, s: float, beta, m_lo, m_hi) -> np.ndarray:
     return out
 
 
-def b2_series(beta: float, m_start: int, tol: float = 1e-10) -> float:
-    """sum_{m >= m_start} B~2(m beta) m^(-2), absolute error below tol.
-
-    Rational beta (integers included), or beta whose shift to a nearby p/q
-    _rational_path certifies, is summed exactly over residue classes mod q.  Otherwise: direct chunks out to M, with
-    M doubled until the certified Fourier remainder bound fits under tol.
-    """
-    if m_start < 1:
-        raise ValueError("m_start must be >= 1")
-    pq = _rational_path(2, 2.0, beta, tol, _as_rational(beta))
-    if pq is not None:
-        return _rational_series(2, pq[0], pq[1], 2.0, m_start)
-    M = max(m_start + 256, 2048)
-    while series_remainder_bound(beta, M) > tol:
-        M *= 2
-        if M > _M_BUDGET:
-            raise RuntimeError("series truncation exceeded budget")
-    return float(_direct_sums(2, 2.0, beta, m_start, M)[0])
-
-
-def bn_series(n: int, beta: float, s: float, m_start: int, tol: float = 1e-10) -> float:
-    """sum_{m >= m_start} B~n(m beta) m^(-s) for s >= 2, error below tol."""
-    if n not in _B_POLY:
-        raise ValueError(f"order must be 1..4, got {n}")
-    if s < 2.0:
-        raise ValueError("bn_series requires s >= 2")
-    pq = _rational_path(n, s, beta, tol, _as_rational(beta))
-    if pq is not None:
-        return _rational_series(n, pq[0], pq[1], s, m_start)
-    if n == 2 and s == 2.0:
-        return b2_series(beta, m_start, tol)
-    # crude certified tail: sup|B~n| * M^(1-s)/(s-1)
-    M = int(math.ceil((_B_SUP[n] / (tol * (s - 1.0))) ** (1.0 / (s - 1.0))))
-    M = max(M, m_start + 16)
-    return float(_direct_sums(n, s, beta, m_start, M)[0])
-
-
-def mixed_power_tail(A: float, alpha: float, tol: float = 1e-11) -> float:
-    """int_A^inf B~2(t) B~1(alpha t) t^(-3) dt for A >= 1, 0 < alpha <= 1.
-
-    Two integrations by parts against antiderivatives of the B~2 factor.
-    Each step emits a boundary term, a pure tail (the smooth part of
-    d/dt B~1(alpha t)), and a jump series over the discontinuities of
-    B~1(alpha t) at t = m/alpha; the final remainder
-
-        R2 = int_A^inf B~4(t) B~1(alpha t) t^(-5) dt
-
-    is integrated numerically out to T2 with its crude tail certified by
-    sup|B~4 B~1| = 1/60.
-    """
-    if A < 1.0:
-        raise ValueError("mixed_power_tail requires A >= 1")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("mixed_power_tail requires alpha in (0, 1]")
-    tol_i = tol / 7.0
-    b1_at_edge = bernoulli_tilde(1, alpha * A)  # right-continuous at jumps
-    m0 = int(math.floor(alpha * A)) + 1  # first jump strictly past A
-
-    total = -bernoulli_tilde(3, A) * b1_at_edge * A**-3 / 3.0
-    total -= (alpha / 3.0) * tilde_power_tail(3, 3.0, A, tol_i)
-    total += (alpha**3 / 3.0) * bn_series(
-        3, 1.0 / alpha, 3.0, m0, tol_i * 3.0 / alpha**3
-    )
-    total -= bernoulli_tilde(4, A) * b1_at_edge * A**-4 / 4.0
-    total -= (alpha / 4.0) * tilde_power_tail(4, 4.0, A, tol_i)
-    total += (alpha**4 / 4.0) * bn_series(
-        4, 1.0 / alpha, 4.0, m0, tol_i * 4.0 / alpha**4
-    )
-
-    # remainder window: cuts at the integers and at the B~1(alpha t) jumps
-    T2 = max(int(math.ceil(A)) + 1, int(math.ceil((1.0 / (240.0 * tol_i)) ** 0.25)))
-    jumps = np.arange(m0, int(math.floor(alpha * T2)) + 1, dtype=float) / alpha
-
-    def r2(t):
-        return bernoulli_tilde(4, t) * bernoulli_tilde(1, alpha * t) * t**-5
-
-    total += _window_integral(r2, A, float(T2), order=8, extra=jumps)
-    return total
-
-
-
-# Batched forms of the series and the mixed tail, for many columns of one
-# row of the iterated-kernel matrix.  Each keeps the scalar routine's path
-# choice, truncation and certificate per column, so the scalar routines above
-# stay the oracle for them (tests/test_iterated.py::TestBatchedRow).
+# The series and the mixed tail are computed for many columns at once, one
+# row of the iterated-kernel matrix; a scalar call is a one-column call.  Each
+# column keeps its own path choice, truncation M and certificate, so columns
+# do not affect each other (tests/test_iterated.py::TestBatchedRow checks a
+# row against its one-column calls).
 
 # Legendre's theorem needs 1e-13 beta < 1/(2 max_den^2); it holds below this
 _CF_BETA_MAX = float(1 << 14)
+# below this many entries the exact test on each is cheaper than the prefilter
+_CF_MIN_SIZE = 32
 
 
 def _rational_pairs(beta: np.ndarray, max_den: int = 16384) -> list:
     """_as_rational(b, max_den) for every entry b of beta.
 
-    A continued-fraction expansion, exact in int64 over the dyadic value of
-    each beta in [1/512, 2^14), flags the entries that have a convergent
+    Fewer than _CF_MIN_SIZE entries each run _as_rational, which is then
+    cheaper than the prefilter's fixed cost.  From there on, a
+    continued-fraction expansion, exact in int64 over the dyadic value
+    of each beta in [1/512, 2^14), flags the entries that have a convergent
     p/q with q <= max_den within 1e-13 relative; only flagged entries (and
     any outside that range) run the exact _as_rational.  No accepted beta
     escapes the flag: _as_rational accepts only p/q within 1e-13 beta, which
@@ -416,6 +346,8 @@ def _rational_pairs(beta: np.ndarray, max_den: int = 16384) -> list:
     a convergent of beta.
     """
     beta = np.asarray(beta, dtype=float)
+    if beta.size < _CF_MIN_SIZE:
+        return [_as_rational(b, max_den) for b in beta.tolist()]
     flag = ~((beta >= 1.0 / 512.0) & (beta < _CF_BETA_MAX))
     idx = np.flatnonzero(~flag)
     frac_part, expo = np.frexp(beta[idx])
@@ -464,15 +396,15 @@ def _bound_terms(dist: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 
 def _b2_truncations(beta: np.ndarray, m_start: np.ndarray, tol: np.ndarray) -> np.ndarray:
-    """b2_series' direct-sum truncation M for every column.
+    """The direct-sum truncation M of the B~2 series for every column.
 
-    The same doubling from max(m_start + 256, 2048) on the same float
-    formula as series_remainder_bound, with the distances ||k beta|| taken
-    once per column and reused across doublings.  A doubling is certified
-    without the full formula while the first _K_HEAD of its _K_MAX summands,
-    less a 1e-12 relative margin, already put the bound above tol: the
-    summands are nonnegative and the margin exceeds the rounding of either
-    sum, so the full formula would exceed tol too.
+    M doubles from max(m_start + 256, 2048) until series_remainder_bound
+    (beta, M) <= tol, on that function's float formula, with the distances
+    ||k beta|| taken once per column and reused across doublings.  A
+    doubling is certified without the full formula while the first _K_HEAD
+    of its _K_MAX summands, less a 1e-12 relative margin, already put the
+    bound above tol: the summands are nonnegative and the margin exceeds the
+    rounding of either sum, so the full formula would exceed tol too.
     """
     M = np.maximum(m_start + 256, 2048)
     for k_used, margin in ((_K_HEAD, 1.0 - 1e-12), (_K_MAX, 1.0)):
@@ -496,10 +428,12 @@ def _b2_truncations(beta: np.ndarray, m_start: np.ndarray, tol: np.ndarray) -> n
 
 def _bn_series_vec(n: int, beta: np.ndarray, s: float, m_start: np.ndarray,
                    tol: np.ndarray, pairs: list) -> np.ndarray:
-    """bn_series(n, beta[j], s, m_start[j], tol[j]) for every column j.
+    """sum_{m >= m_start[j]} B~n(m beta[j]) m^(-s) within tol[j], every column j.
 
-    pairs is _rational_pairs(beta), which callers share between series;
-    _rational_path then picks each column's path as bn_series does.
+    pairs is _rational_pairs(beta), which callers share between series.
+    Columns that _rational_path sends to p/q are summed exactly over residue
+    classes; the rest are direct sums out to M, from _b2_truncations for B~2
+    at s = 2 and from the crude tail sup|B~n| M^(1-s)/(s-1) <= tol otherwise.
     """
     pairs = [_rational_path(n, s, b, t, pq)
              for b, t, pq in zip(beta.tolist(), tol.tolist(), pairs)]
@@ -513,11 +447,41 @@ def _bn_series_vec(n: int, beta: np.ndarray, s: float, m_start: np.ndarray,
     if n == 2 and s == 2.0:
         M = _b2_truncations(beta[d], m_start[d], tol[d])
     else:
-        # bn_series' crude certified tail, in the same scalar arithmetic
+        # the crude certified tail, in scalar arithmetic
         M = [max(int(math.ceil((_B_SUP[n] / (t * (s - 1.0))) ** (1.0 / (s - 1.0)))), m + 16)
              for t, m in zip(tol[d].tolist(), m_start[d].tolist())]
     out[d] = _direct_sums(n, s, beta[d], m_start[d], M)
     return out
+
+
+def b2_series(beta: float, m_start: int, tol: float = 1e-10) -> float:
+    """sum_{m >= m_start} B~2(m beta) m^(-2), absolute error below tol.
+
+    Rational beta (integers included), or beta whose shift to a nearby p/q
+    _rational_path certifies, is summed exactly over residue classes mod q.
+    Otherwise: direct chunks out to M, with M doubled until the certified
+    Fourier remainder bound fits under tol.
+    """
+    return bn_series(2, beta, 2.0, m_start, tol)
+
+
+def bn_series(n: int, beta: float, s: float, m_start: int, tol: float = 1e-10) -> float:
+    """sum_{m >= m_start} B~n(m beta) m^(-s) for s >= 2, error below tol.
+
+    A one-column call of _bn_series_vec.
+    """
+    if n not in _B_POLY:
+        raise ValueError(f"order must be 1..4, got {n}")
+    if not s >= 2.0:
+        raise ValueError(f"bn_series requires s >= 2, got {s}")
+    if not m_start >= 1:
+        raise ValueError(f"m_start must be >= 1, got {m_start}")
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise ValueError(f"beta must be finite and > 0, got {beta}")
+    _check_tol(tol)
+    col = _bn_series_vec(n, np.array([beta], dtype=float), s, np.array([m_start], dtype=np.int64),
+                         np.array([tol], dtype=float), [_as_rational(beta)])
+    return float(col[0])
 
 
 def _column_blocks(sizes: np.ndarray, cap: int):
@@ -569,18 +533,34 @@ def _remainder_windows(A: float, T2: float, alpha: np.ndarray, m0: np.ndarray) -
     return out
 
 
-def _mixed_tail_vec(A: float, alpha: np.ndarray, tol: float) -> np.ndarray:
-    """mixed_power_tail(A, alpha_j, tol) for one A and every alpha_j.
+def mixed_power_tail(A: float, alpha, tol: float = 1e-11):
+    """int_A^inf B~2(t) B~1(alpha t) t^(-3) dt for A >= 1, 0 < alpha <= 1.
 
-    The pure tails, B~3(A), B~4(A), T2 and the integer cuts depend on A and
-    tol only and are computed once; the boundary terms are arrays, the jump
-    series run through _bn_series_vec, the windows through
-    _remainder_windows.
+    alpha is a float (the result is a float) or a 1-D array (one result per
+    entry).  Two integrations by parts against antiderivatives of the B~2
+    factor.  Each step emits a boundary term, a pure tail (the smooth part
+    of d/dt B~1(alpha t)), and a jump series over the discontinuities of
+    B~1(alpha t) at t = m/alpha; the final remainder
+
+        R2 = int_A^inf B~4(t) B~1(alpha t) t^(-5) dt
+
+    is integrated numerically out to T2 with its crude tail certified by
+    sup|B~4 B~1| = 1/60.  The pure tails, B~3(A), B~4(A), T2 and the
+    window's integer cuts depend on A and tol only and are computed once
+    for every alpha; the jump series run through _bn_series_vec and the
+    windows through _remainder_windows.
     """
+    if not A >= 1.0:
+        raise ValueError(f"mixed_power_tail requires A >= 1, got {A}")
+    _check_tol(tol)
+    scalar = np.ndim(alpha) == 0
+    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
+    if alpha.ndim != 1 or not np.all((alpha > 0.0) & (alpha <= 1.0)):
+        raise ValueError(f"mixed_power_tail requires alpha in (0, 1], a float or 1-D, got {alpha}")
     tol_i = tol / 7.0
     al = alpha.tolist()
-    b1_at_edge = bernoulli_tilde(1, alpha * A)
-    m0 = np.floor(alpha * A).astype(np.int64) + 1
+    b1_at_edge = bernoulli_tilde(1, alpha * A)  # right-continuous at jumps
+    m0 = np.floor(alpha * A).astype(np.int64) + 1  # first jump strictly past A
     inv = 1.0 / alpha
     pairs = _rational_pairs(inv)
     a3 = np.array([a**3 for a in al])
@@ -593,9 +573,10 @@ def _mixed_tail_vec(A: float, alpha: np.ndarray, tol: float) -> np.ndarray:
     total -= (alpha / 4.0) * tilde_power_tail(4, 4.0, A, tol_i)
     total += (a4 / 4.0) * _bn_series_vec(4, inv, 4.0, m0, tol_i * 4.0 / a4, pairs)
 
+    # remainder window: cuts at the integers and at the B~1(alpha t) jumps
     T2 = max(int(math.ceil(A)) + 1, int(math.ceil((1.0 / (240.0 * tol_i)) ** 0.25)))
     total += _remainder_windows(A, float(T2), alpha, m0)
-    return total
+    return float(total[0]) if scalar else total
 
 
 def kernel_moment(x: float, s: float, tol: float = 1e-11) -> float:

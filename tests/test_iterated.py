@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kernel_spectra import tails
 from kernel_spectra.bernoulli import bernoulli_tilde
 from kernel_spectra.iterated import (
     DIAGONAL_BOUND,
     OFF_DIAGONAL_BOUND,
     K2Evaluator,
+    _closed_literal,
     _k2_row,
     i0_eval,
     i_eval,
@@ -43,8 +45,7 @@ class TestCornerValue:
         assert k2_diag_exact(1.0) == pytest.approx(LOG_2PI_MINUS_74, abs=1e-12)
 
     def test_literal_truncations(self):
-        ev = K2Evaluator(tol=1e-7, accelerated=False)
-        assert k2_closed(1.0, 1.0, ev) == pytest.approx(LOG_2PI_MINUS_74, abs=1e-7)
+        assert _closed_literal(1.0, 1.0, 1e-7) == pytest.approx(LOG_2PI_MINUS_74, abs=1e-7)
 
 
 class TestRouteAgreement:
@@ -66,9 +67,8 @@ class TestRouteAgreement:
     def test_literal_route_agrees(self):
         # same four-term formula with plain truncations instead of the
         # certified tail engine; slower, so only a handful of pairs
-        ev = K2Evaluator(tol=1e-8, accelerated=False)
         for x, y in [(1.0, 1.0), (0.3, 0.7), (0.52, 0.52), (0.9, 0.17), (0.06, 0.98)]:
-            assert k2_closed(x, y, ev) == pytest.approx(k2_closed(x, y), abs=1e-7)
+            assert _closed_literal(x, y, 1e-8) == pytest.approx(k2_closed(x, y), abs=1e-7)
 
     def test_frozen_point(self):
         # cross-validated against both independent routes at tol 1e-12
@@ -271,12 +271,6 @@ class TestEvaluatorConfig:
         with pytest.raises(ValueError):
             K2Evaluator(tol=2.0)
 
-    def test_rejects_insufficient_truncations(self):
-        with pytest.raises(ValueError):
-            K2Evaluator(tol=1e-8, accelerated=False, m_series=10)
-        with pytest.raises(ValueError):
-            K2Evaluator(tol=1e-8, accelerated=False, t_integral=10.0)
-
     def test_zero_edges(self):
         assert k2_quadrature(0.0, 0.7) == 0.0
         assert k2_quadrature(0.7, 0.0) == 0.0
@@ -295,7 +289,9 @@ class TestEvaluatorConfig:
 
 
 class TestBatchedRow:
-    # the scalar k2_closed is the oracle for the row-batched matrix fill
+    # k2_closed is a one-column row: a full row must match its one-column
+    # calls (no column affects another), and rows must match the independent
+    # quadrature and diagonal routes
     TOL = 1e-7  # cross_validate_k2's default entry tolerance
 
     def _assert_row_matches_scalar(self, x, ys):
@@ -308,6 +304,19 @@ class TestBatchedRow:
         x = uniform_rule(16, 4).nodes
         for i in range(x.size):
             self._assert_row_matches_scalar(float(x[i]), x[i:])
+
+    def test_n64_entries_match_quadrature_and_diagonal(self):
+        x = np.sort(uniform_rule(16, 4).nodes)
+        ev = K2Evaluator(tol=self.TOL)
+        rows = [_k2_row(float(x[i]), x[i:], self.TOL) for i in range(x.size)]
+        diag = np.array([row[0] for row in rows])
+        ref = np.array([k2_diag_exact(float(v)) for v in x])
+        assert np.max(np.abs(diag - ref)) <= self.TOL
+        rng = np.random.default_rng(64)
+        for i, k in rng.integers(0, x.size, size=(64, 2)).tolist():
+            i, k = min(i, k), max(i, k)
+            quad = k2_quadrature(float(x[i]), float(x[k]), ev)
+            assert abs(rows[i][k - i] - quad) <= 2.0 * self.TOL, (i, k)
 
     def test_seeded_entries_n256(self):
         # ~300 entries: all of the first row's stride-8 columns, the last row,
@@ -348,6 +357,26 @@ class TestBatchedRow:
         x = 1.0 / 1024.0
         b = np.array(near[0] + near[1] + near[2] + near[3] + rand)
         self._assert_row_matches_scalar(x, np.unique(x * b[x * b <= 1.0]))
+
+    @pytest.mark.parametrize("size", [31, 32])
+    def test_prefilter_runs_from_32_entries(self, size, monkeypatch):
+        # p/q and 1 ulp off it, mixed with irrational ratios: below 32 entries
+        # every entry takes the exact test, from 32 only the flagged ones do
+        near = [p / q for q in (1, 3, 7, 12, 16384) for p in (q + 1, 37 * q + 5)]
+        near += [float(np.nextafter(b, np.inf)) for b in near]
+        rand = np.random.default_rng(31).uniform(1.0, 900.0, size - len(near)).tolist()
+        betas = near + rand
+        ref = [_as_rational(b) for b in betas]
+        calls = []
+
+        def counted(b, max_den=16384):
+            calls.append(b)
+            return _as_rational(b, max_den)
+
+        monkeypatch.setattr(tails, "_as_rational", counted)
+        assert _rational_pairs(np.array(betas)) == ref
+        assert sum(r is not None for r in ref) == len(near)
+        assert len(calls) == (size if size < 32 else len(near))
 
     def test_prefilter_covers_the_acceptance_window(self):
         # p/q off by 9e-14 relative, inside _as_rational's 1e-13 window, up

@@ -17,7 +17,6 @@ from kernel_spectra.tails import (
     _b2_truncations,
     _bn_series_vec,
     _direct_sums,
-    _mixed_tail_vec,
     _rational_pairs,
     _tail_at,
     _window_integral,
@@ -67,6 +66,11 @@ class TestTildePowerTail:
             tilde_power_tail(7, 2.0, 1.0)
         with pytest.raises(ValueError, match="q > 0"):
             tilde_power_tail(1, 0.0, 2.0)
+        with pytest.raises(ValueError, match="A >= 1"):
+            tilde_power_tail(1, 2.0, math.nan)
+        for tol in (0.0, -1e-9, math.nan):
+            with pytest.raises(ValueError, match="tol must be > 0"):
+                tilde_power_tail(2, 2.0, 3.0, tol)
 
     @given(
         a=st.floats(min_value=1.0, max_value=40.0),
@@ -136,8 +140,14 @@ class TestB2Series:
             assert abs(mine - direct) <= 1e-11 + slack, beta
 
     def test_rejects_bad_start(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="m_start"):
             b2_series(2.5, 0)
+        for beta in (math.nan, math.inf, 0.0, -2.5):
+            with pytest.raises(ValueError, match="beta must be finite and > 0"):
+                b2_series(beta, 1)
+        for tol in (0.0, math.nan):
+            with pytest.raises(ValueError, match="tol must be > 0"):
+                b2_series(3.3, 1, tol=tol)
 
     @given(
         p=st.integers(min_value=1, max_value=40),
@@ -184,8 +194,8 @@ class TestBatchedSeries:
                 ref = float(np.dot(bernoulli_tilde(n, m * beta[j]), m**-s))
                 assert got[j] == pytest.approx(ref, rel=1e-13, abs=1e-16), (n, j)
 
-    # same terms, cuts and truncations as the scalar routines; only the
-    # summation order differs, so agreement is to rounding, far below tol
+    # a scalar call is a one-column call of the same engine, so a column must
+    # not depend on the others; only the summation order may differ
     def test_series_vec_matches_scalar(self):
         beta = np.array([1.0, 2.5, math.pi, 7.0 / 3.0, 13.37, 250.01])
         m_start = np.array([1, 3, 2, 5, 1, 40])
@@ -206,10 +216,12 @@ class TestBatchedSeries:
         assert abs(ref[0] - ref[1]) <= 1e-10
 
     def test_mixed_tail_vec_matches_scalar(self):
+        # an array alpha against element-wise float calls
         for A, tol in ((1.0, 1e-9), (3.7, 1e-11), (41.5, 1e-12), (900.25, 1e-13)):
             alpha = np.array([1.0, 0.999, 0.5, 1.0 / 3.0, 0.123, 0.01])
-            got = _mixed_tail_vec(A, alpha, tol)
+            got = mixed_power_tail(A, alpha, tol)
             ref = [mixed_power_tail(A, float(a), tol) for a in alpha]
+            assert isinstance(ref[0], float) and got.shape == alpha.shape
             assert np.max(np.abs(got - ref)) <= 1e-15, A
 
     def test_truncations_match_scalar_doubling(self):
@@ -249,6 +261,14 @@ class TestBnSeries:
             bn_series(5, 2.5, 3.0, 1)
         with pytest.raises(ValueError):
             bn_series(2, 2.5, 1.5, 1)
+        with pytest.raises(ValueError, match="m_start"):
+            bn_series(3, 2.5, 3.0, 0)
+        for beta in (math.nan, -1.0):
+            with pytest.raises(ValueError, match="beta must be finite and > 0"):
+                bn_series(3, beta, 3.0, 1)
+        for tol in (0.0, math.nan):
+            with pytest.raises(ValueError, match="tol must be > 0"):
+                bn_series(3, 2.5, 3.0, 1, tol)
 
 
 class TestMixedPowerTail:
@@ -286,6 +306,14 @@ class TestMixedPowerTail:
             mixed_power_tail(0.5, 0.5)
         with pytest.raises(ValueError):
             mixed_power_tail(2.0, 1.5)
+        with pytest.raises(ValueError, match="A >= 1"):
+            mixed_power_tail(math.nan, 0.5)
+        for tol in (0.0, math.nan):
+            with pytest.raises(ValueError, match="tol must be > 0"):
+                mixed_power_tail(2.0, 0.5, tol)
+        for alpha in ([0.5, 1.5], [0.0, 0.5], [0.5, math.nan], [[0.5]]):
+            with pytest.raises(ValueError, match="alpha in"):
+                mixed_power_tail(2.0, np.array(alpha))
 
 
 class TestKernelMoment:
