@@ -13,20 +13,37 @@ record: the first kernel eigenvalues, their relative discrepancies against
 the iterated-kernel matrix eigenvalues, that matrix's gate residual, the
 Hilbert-Schmidt norm, and the wall time of the matrix fill and of its
 eigensolve.  ``python -m kernel_spectra.cli`` runs the same commands.
+
+Both records end with ``env``: numpy's BLAS library, the BLAS thread
+variables (null when unset) and the usable CPUs, on which the last digits
+and the wall time of an eigensolve depend.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+
+import numpy as np
 
 from .quadrature import uniform_rule
 from .spectra import assemble, cross_validate_k2, eigensolve
 
 # Gauss order per panel of the spectrum grid
 _ORDER = 4
+
+
+def _environment() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {var: os.environ.get(var)
+                    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        "cpus": len(os.sched_getaffinity(0)),
+    }
 
 
 def _spectrum_record(n: int) -> dict:
@@ -45,6 +62,7 @@ def _spectrum_record(n: int) -> dict:
         "orthogonality": spec.orthogonality,
         "assemble_s": t1 - t0,
         "eigensolve_s": t2 - t1,
+        "env": _environment(),
     }
 
 
@@ -61,6 +79,7 @@ def _k2_record(n: int) -> dict:
         "hs_norm_sq": xc.hs_norm_sq,
         "k2_fill_s": xc.fill_s,
         "eigensolve_s": xc.eigensolve_s,
+        "env": _environment(),
     }
 
 

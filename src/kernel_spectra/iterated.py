@@ -33,7 +33,6 @@ from .quadrature import composite_rule, kernel_breakpoints
 from .tails import (
     _bn_series_vec,
     _direct_sums,
-    _rational_pairs,
     _tilde_tail_vec,
     b2_series,
     mixed_power_tail,
@@ -84,10 +83,11 @@ def _k2_row(x: float, ys: np.ndarray, tol: float) -> np.ndarray:
 
     One row of the iterated-kernel matrix in one pass: what depends on
     A = 1/x alone (the pure tails, B~n(A), the window's integer cuts) is
-    computed once, the rest as arrays over the columns, each column keeping
-    its own path choice, truncations and certificates.  The t3 tail is
-    taken once at the tightest column tolerance, 2 min(ys) tol/3, which
-    meets every column's; t2, t3 and t4 take tol/3 each.
+    computed once, the rest as arrays over the columns.  The series t4 and
+    the mixed tail's jump series are one drift-class sum per column, each
+    with its own convergent and certificate.  The t3 tail is taken once at
+    the tightest column tolerance, 2 min(ys) tol/3, which meets every
+    column's; t2, t3 and t4 take tol/3 each.
     """
     ys = np.asarray(ys, dtype=float)
     if not (ys.size and 0.0 < x <= float(ys.min()) and float(ys.max()) <= 1.0):
@@ -98,8 +98,7 @@ def _k2_row(x: float, ys: np.ndarray, tol: float) -> np.ndarray:
     t3 = -0.5 / ys * tilde_power_tail(2, 2.0, A, 2.0 * float(ys.min()) * tol / 3.0)
     pref = 0.5 * x / (ys * ys)
     m_start = np.floor(1.0 / ys).astype(np.int64) + 1
-    beta = ys / x
-    t4 = pref * _bn_series_vec(2, beta, 2.0, m_start, tol / (3.0 * pref), _rational_pairs(beta))
+    t4 = pref * _bn_series_vec(2, ys / x, 2, m_start, tol / (3.0 * pref))
     return t1 + t2 + t3 + t4
 
 

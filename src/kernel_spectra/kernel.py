@@ -24,7 +24,8 @@ def k_eval(x, y):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.any(x < 0) or np.any(x > 1) or np.any(y < 0) or np.any(y > 1):
+    # written so that NaN fails it, one pass over each argument
+    if not (np.all((0.0 <= x) & (x <= 1.0)) and np.all((0.0 <= y) & (y <= 1.0))):
         raise ValueError("k_eval requires x, y in [0, 1]")
     p = x * y
     with np.errstate(divide="ignore"):
@@ -58,8 +59,10 @@ def delta_r(a: float, b: float, r: float, tol: float = 1e-7,
     """
     if not (0.0 < a <= 1.0 and 0.0 < b <= 1.0):
         raise ValueError("delta_r requires a, b in (0, 1]")
-    if r <= -1.0:
-        raise ValueError("delta_r requires r > -1 (the integral may diverge)")
+    if not r > -1.0:
+        raise ValueError(f"delta_r requires r > -1 (the integral may diverge), got {r}")
+    if not tol > 0.0:
+        raise ValueError(f"delta_r requires tol > 0, got {tol}")
     if a == b:
         return 0.0
     z0 = (0.5 * tol * (r + 1.0)) ** (1.0 / (r + 1.0))

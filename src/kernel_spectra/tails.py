@@ -6,11 +6,13 @@ three primitives:
 * pure tails int_A^inf B~n(t) t^(-q) dt: a numeric window [A, T] over
   integer-cut panels plus an Euler-Maclaurin-style recursion at integer T
   whose boundary terms vanish and whose remainder is certified;
-* the sawtooth series sum_{m >= m0} B~n(m beta) m^(-s): Hurwitz-zeta exact
-  over residue classes when beta is a rational p/q with a small denominator
-  or close enough to one that the certified shift to p/q fits the
-  tolerance, otherwise direct chunks with a Fourier-Dirichlet remainder
-  bound;
+* the sawtooth series sum_{m >= m0} B~n(m beta) m^(-s), by one path for
+  every beta: along the residue classes mod q of a continued-fraction
+  convergent p/q of beta the argument drifts by eps = q beta - p per step,
+  so B~n is a polynomial in m between wraps and each run sums to
+  Hurwitz-zeta and digamma differences and a count; past a truncation M
+  each class is compared with its integral, and the integrals cancel
+  across the classes by the multiplication theorem (_bn_series_vec);
 * the mixed tail int_A^inf B~2(t) B~1(alpha t) t^(-3) dt: two integration
   by parts against the B~1 factor (each step emits a pure tail and a jump
   series) and a short certified window for what remains.
@@ -22,11 +24,11 @@ value is within it.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import Polynomial
+from scipy.special import digamma
 from scipy.special import zeta as hurwitz_zeta
 
 from .bernoulli import bernoulli_tilde
@@ -36,7 +38,6 @@ __all__ = [
     "tilde_power_tail",
     "b2_series",
     "bn_series",
-    "series_remainder_bound",
     "mixed_power_tail",
     "kernel_moment",
 ]
@@ -49,8 +50,6 @@ _B_POLY = {
     4: Polynomial([-1.0 / 30.0, 0.0, 1.0, -2.0, 1.0]),
 }
 
-_B_SUP = {1: 0.5, 2: 1.0 / 6.0, 3: 1.0 / (12.0 * math.sqrt(3.0)), 4: 1.0 / 30.0}
-
 _VEC_BLOCK = 1 << 18
 
 
@@ -59,19 +58,14 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be > 0, got {tol}")
 
 
-def _poly_mean(p: Polynomial) -> float:
-    return float(p.integ()(1.0))
-
-
-def _poly_max_abs(p: Polynomial) -> float:
-    """Exact sup of |p| on [0, 1] via critical points."""
+def _piece_values(p: Polynomial) -> np.ndarray:
+    """p at 0, at its real critical points in [0, 1] and at 1, in increasing order."""
     cand = [0.0, 1.0]
     dp = p.deriv()
     if dp.degree() >= 1:
-        for r in dp.roots():
-            if abs(r.imag) < 1e-12 and -1e-12 <= r.real <= 1.0 + 1e-12:
-                cand.append(min(max(r.real, 0.0), 1.0))
-    return float(max(abs(p(c)) for c in cand))
+        cand += [min(max(r.real, 0.0), 1.0) for r in dp.roots()
+                 if abs(r.imag) < 1e-12 and -1e-12 <= r.real <= 1.0 + 1e-12]
+    return p(np.sort(cand))
 
 
 @lru_cache(maxsize=None)
@@ -97,7 +91,7 @@ def _tail_ladder(n: int, q: float, depth: int = 6):
     mult = 1.0
     qq = float(q)
     for _ in range(depth):
-        m = _poly_mean(p)
+        m = float(p.integ()(1.0))  # the mean of p on [0, 1]
         if qq <= 1.0:
             if abs(m) > 1e-14:
                 raise ValueError("divergent tail: q <= 1 with nonzero mean")
@@ -108,7 +102,7 @@ def _tail_ladder(n: int, q: float, depth: int = 6):
         mult *= qq
         p = h
         qq += 1.0
-    return tuple(terms), (mult * _poly_max_abs(p), qq)
+    return tuple(terms), (mult * float(np.max(np.abs(_piece_values(p)))), qq)
 
 
 def _tail_at(n: int, q: float, T: int, depth: int = 6):
@@ -174,8 +168,11 @@ def _tilde_tail_vec(n: int, q: float, A: np.ndarray, tol: np.ndarray) -> np.ndar
     Fast path: ladder remainder taken at T = max(ceil A, 2) plus a Gauss-16
     window on [A, T] split in half (never longer than one unit, so no
     interior integer cuts are needed).  Entries whose ladder bound at that T
-    exceeds tol/2 fall back to the scalar routine; with per-entry tolerances
-    scaled to the tail envelope this is rare.
+    exceeds tol/2 fall back to the scalar routine, and that is not rare:
+    iterated._g_series sends 1151 of them from i0_eval(0.9, 0.1) and 1089
+    from i0_eval(0.5, 0.05), and in a traced pointwise bench pass the 90
+    i0_eval calls make 14,026 of the 17,096 tilde_power_tail calls.  ROADMAP
+    item 3 removes _g_series, and with it most of these fallbacks.
     """
     A = np.asarray(A, dtype=float)
     tol_arr = np.broadcast_to(np.asarray(tol, dtype=float), A.shape)
@@ -208,96 +205,18 @@ def _tilde_tail_vec(n: int, q: float, A: np.ndarray, tol: np.ndarray) -> np.ndar
     return val
 
 
-# Fourier frequencies summed by series_remainder_bound by default
-_K_MAX = 4096
-
-
-def series_remainder_bound(beta: float, M: int, k_max: int = _K_MAX) -> float:
-    """Certified bound for |sum_{m>M} B~2(m beta) m^(-2)|.
-
-    Fourier side: B~2(t) = (1/pi^2) sum_k cos(2 pi k t)/k^2 (at t = 0 this
-    is zeta(2)/pi^2 = 1/6, fixing the constant).  For each k, the inner
-    cosine sum over m > M is at most min(1/M, 1/(2 (M+1)^2 ||k beta||)) by
-    the zeta tail and the Dirichlet-kernel partial-sum bound with Abel
-    summation; frequencies beyond k_max use the 1/M branch.
-    """
-    k = np.arange(1, k_max + 1, dtype=float)
-    dist = np.abs(k * beta - np.round(k * beta))
-    with np.errstate(divide="ignore"):
-        osc = np.where(dist > 0, 1.0 / (2.0 * (M + 1.0) ** 2 * dist), np.inf)
-    per_k = np.minimum(1.0 / M, osc)
-    head = float(np.sum(per_k / k**2))
-    return (head + 1.0 / (M * k_max)) / math.pi**2
-
-
-def _as_rational(beta: float, max_den: int = 16384) -> tuple[int, int] | None:
-    """The best p/q with q <= max_den when it lies within 1e-13 beta, else None.
-
-    Resonant frequencies (||k beta|| = 0 at multiples of q) kill the Fourier
-    bound's decay, so near-rational ratios are summed exactly at p/q
-    instead, wherever _rational_path certifies the shift from beta to p/q.
-    """
-    if not math.isfinite(beta) or beta <= 0.0:
-        return None
-    fr = Fraction(beta).limit_denominator(max_den)
-    p, q = fr.numerator, fr.denominator
-    return (p, q) if abs(beta - p / q) <= 1e-13 * beta else None
-
-
-# sup |d/dt B~n| = n sup |B~(n-1)|; B~1 jumps and has no such constant
-_B_LIP = {2: 1.0, 3: 0.5, 4: 1.0 / (3.0 * math.sqrt(3.0))}
-
-
-def _rational_path(n: int, s: float, beta: float, tol: float, pq) -> tuple[int, int] | None:
-    """pq when sum_m B~n(m beta) m^(-s) may be summed exactly at p/q, else None.
-
-    Within 2 ulp of p/q the shift is rounding.  Further out, with
-    delta = |beta - p/q|, term m moves by at most L_n m delta m^(-s), and
-    for B~2 also by at most its range 1/4, so the series moves by at most
-    delta (2 + ln(1/(4 delta))) for B~2 at s = 2 and L_n delta zeta(s - 1)
-    for s >= 3; p/q is taken when that shift fits within tol.  B~1 jumps,
-    so only the 2 ulp window applies to it.
-    """
-    if pq is None:
-        return None
-    delta = abs(beta - pq[0] / pq[1])
-    if delta <= 2.0 * math.ulp(beta):
-        return pq
-    if n == 2 and s == 2.0 and delta <= 1.0 / 16.0:  # the bound needs 1/(4 delta) >= 4
-        shift = delta * (2.0 + math.log(0.25 / delta))
-    elif n in _B_LIP and s >= 3.0:
-        shift = _B_LIP[n] * delta * float(hurwitz_zeta(s - 1.0, 1.0))
-    else:
-        return None
-    return pq if shift <= tol else None
-
-
-def _rational_series(n: int, p: int, q: int, s: float, m_start: int) -> float:
-    """Exact sum_{m >= m_start} B~n(m p/q) m^(-s) via residue classes.
-
-    Along m = r + j q the argument m p/q moves by integer steps of p, so
-    B~n is constant on each class and the class sums to a Hurwitz zeta:
-    q^(-s) * B~n(((r p) mod q)/q) * zeta(s, j0 + r/q).
-    """
-    r = np.arange(q, dtype=np.int64)
-    b = bernoulli_tilde(n, ((r * p) % q) / q)
-    j0 = -((r - m_start) // q)  # smallest j with r + j*q >= m_start
-    total = float(np.dot(b, hurwitz_zeta(s, j0 + r / q)))
-    return total * q ** (-s)
-
-
-# no temporary of the batched sums and windows holds more than this many terms
+# no temporary of the direct sums, the windows or one block of series columns
+# holds much more than this many entries
 _SUM_BLOCK = 1 << 14
-# _b2_truncations gives up doubling the B~2 truncation M beyond this
-_M_BUDGET = 1 << 28
 
 
 def _direct_sums(n: int, s: float, beta, m_lo, m_hi) -> np.ndarray:
-    """sum_{m = m_lo[j]}^{m_hi[j]} B~n(m beta[j]) m^(-s) for every j.
+    """sum_{m = m_lo[j]}^{m_hi[j]} B~n(m beta[j]) m^(-s) for every j, term by term.
 
+    Not used by the series engine: it is the engine of the literal oracle
+    iterated._closed_literal and of the direct-sum oracles in the tests.
     The segments are laid end to end and summed _SUM_BLOCK terms at a time,
-    so memory stays bounded however long one segment is; each term is
-    computed exactly as a single direct sum computes it.
+    so memory stays bounded however long one segment is.
     """
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     m_lo = np.atleast_1d(np.asarray(m_lo, dtype=np.int64))
@@ -320,168 +239,227 @@ def _direct_sums(n: int, s: float, beta, m_lo, m_hi) -> np.ndarray:
     return out
 
 
-# The series and the mixed tail are computed for many columns at once, one
-# row of the iterated-kernel matrix; a scalar call is a one-column call.  Each
-# column keeps its own path choice, truncation M and certificate, so columns
-# do not affect each other (tests/test_iterated.py::TestBatchedRow checks a
-# row against its one-column calls).
+# The sawtooth series runs over many columns at once, one row of the
+# iterated-kernel matrix; a scalar call is a one-column call.  Each column
+# keeps its own convergent, truncation and certificate, so columns do not
+# affect each other (tests/test_iterated.py::TestBatchedRow).
 
-# Legendre's theorem needs 1e-13 beta < 1/(2 max_den^2); it holds below this
-_CF_BETA_MAX = float(1 << 14)
-# below this many entries the exact test on each is cheaper than the prefilter
-_CF_MIN_SIZE = 32
+# convergent denominators are taken up to this
+_Q_MAX = 16384
+# a point carries rows of n + 1 coefficients, so a block of points holds
+# about as many entries as a block of direct-sum terms
+_POINT_BLOCK = _SUM_BLOCK // 4
+# share of tol given to the tail certificate; the rest covers rounding
+_TAIL_SHARE = 0.5
+# no class is summed past this m: there the whole tail is below
+# sup|B~n| 2^-62, under the rounding of any sum
+_M_CAP = float(1 << 62)
 
 
-def _rational_pairs(beta: np.ndarray, max_den: int = 16384) -> list:
-    """_as_rational(b, max_den) for every entry b of beta.
+def _var_sup(p: Polynomial) -> tuple[float, float]:
+    """Variation per period (the jump at the integers included) and sup of the periodic p."""
+    v = _piece_values(p)
+    return float(np.sum(np.abs(np.diff(v))) + abs(v[-1] - v[0])), float(np.max(np.abs(v)))
 
-    Fewer than _CF_MIN_SIZE entries each run _as_rational, which is then
-    cheaper than the prefilter's fixed cost.  From there on, a
-    continued-fraction expansion, exact in int64 over the dyadic value
-    of each beta in [1/512, 2^14), flags the entries that have a convergent
-    p/q with q <= max_den within 1e-13 relative; only flagged entries (and
-    any outside that range) run the exact _as_rational.  No accepted beta
-    escapes the flag: _as_rational accepts only p/q within 1e-13 beta, which
-    below 2^14 is inside 1/(2 q^2), and by Legendre's theorem such a p/q is
-    a convergent of beta.
+
+def _tail_constants(n: int) -> tuple:
+    """(a, c0, c1, cb, k, cc) of B~n in the tail certificate of _bn_series_vec.
+
+    a is the range of B~n's antiderivative; with V, S the variation per
+    period and sup of B~n and V', S' those of its derivative, the midpoint
+    rule gives c0 = V/2 + 3S/4, c1 = 0, cb = V/2, k = 1, cc = 0 for B~1,
+    which jumps, and c0 = S/4, c1 = (V' + S' + V)/4, cb = V'/4, k = 2,
+    cc = (V + S)/4 for the continuous B~n, n >= 2.
     """
-    beta = np.asarray(beta, dtype=float)
-    if beta.size < _CF_MIN_SIZE:
-        return [_as_rational(b, max_den) for b in beta.tolist()]
-    flag = ~((beta >= 1.0 / 512.0) & (beta < _CF_BETA_MAX))
-    idx = np.flatnonzero(~flag)
-    frac_part, expo = np.frexp(beta[idx])
-    num = (frac_part * 2.0**53).astype(np.int64)  # beta = num / den exactly
-    den = np.left_shift(np.int64(1), (53 - expo).astype(np.int64))
-    h1, h2 = np.ones_like(num), np.zeros_like(num)  # convergent numerators
-    k1, k2 = np.zeros_like(num), np.ones_like(num)  # and denominators
-    live = np.ones(idx.size, dtype=bool)
-    while live.any():
-        i = np.flatnonzero(live)
-        a, rem = np.divmod(num[i], den[i])
-        # a larger partial quotient only pushes the denominator past max_den
-        a = np.where(k1[i] == 0, a, np.minimum(a, max_den + 1))
-        h = a * h1[i] + h2[i]
-        k = a * k1[i] + k2[i]
-        num[i], den[i] = den[i], rem
-        h2[i], h1[i], k2[i], k1[i] = h1[i], h, k1[i], k
-        ok = k <= max_den
-        b = beta[idx[i]]
-        flag[idx[i[ok]]] |= np.abs(b[ok] - h[ok] / k[ok]) <= 1e-13 * b[ok]
-        live[i] = ok & (den[i] != 0)
-    pairs = [None] * beta.size
-    for j in np.flatnonzero(flag):
-        pairs[j] = _as_rational(float(beta[j]), max_den)
-    return pairs
+    p = _B_POLY[n]
+    a = float(np.ptp(_piece_values(p.integ())))
+    var, sup = _var_sup(p)
+    if n == 1:
+        return a, 0.5 * var + 0.75 * sup, 0.0, 0.5 * var, 1, 0.0
+    dvar, dsup = _var_sup(p.deriv())
+    return a, 0.25 * sup, 0.25 * (dvar + dsup + var), 0.25 * dvar, 2, 0.25 * (var + sup)
 
 
-_K = np.arange(1, _K_MAX + 1, dtype=float)
-_K2 = _K**2
-# summands of the cheap lower bound that certifies a doubling in _b2_truncations
-_K_HEAD = 64
+_SERIES_TAIL = {n: _tail_constants(n) for n in _B_POLY}
+# Taylor coefficients of B_n at a: B_n(a + y) = sum_k (V(a) @ _TAYLOR[n])[k] y^k,
+# V(a) = [1, a, ..., a^n]
+_TAYLOR = {n: np.array([np.pad((p.deriv(k) / math.factorial(k)).coef, (0, k))
+                        for k in range(n + 1)]).T for n, p in _B_POLY.items()}
 
 
-def _bound_terms(dist: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """series_remainder_bound's summands min(1/M, osc_k)/k^2, one row per M.
+def _convergents(beta: float) -> list:
+    """(p mod q, q, q beta - p) for every convergent p/q of beta with q <= _Q_MAX.
 
-    dist holds ||k beta|| for the first dist.shape[1] frequencies k; the
-    float operations are series_remainder_bound's, so the terms are too.
+    The continued fraction runs in integers on the float's dyadic value
+    num/den, where q beta - p is +-rem/den with rem the Euclidean remainder
+    of the step, rounded once.
     """
-    scale = np.array([2.0 * (m + 1.0) ** 2 for m in M.tolist()])
-    # ||k beta|| = 0 gives 1/0 = inf, the 1/M branch of the minimum
+    num, den = beta.as_integer_ratio()
+    scale = den
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    sign, out = 1, []
+    while den:
+        a, rem = divmod(num, den)
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        if q1 > _Q_MAX:
+            break
+        out.append((p1 % q1, q1, sign * rem / scale))
+        num, den, sign = den, rem, -sign
+    return out
+
+
+def _series_plans(n: int, s: int, beta: np.ndarray, m0: np.ndarray, tol: np.ndarray):
+    """Per column, the convergent with the fewest points and its truncation M.
+
+    Returns (p mod q, q, eps, M, points).  M is the least m_max at which
+    each term of the tail certificate (see _bn_series_vec) is within
+    _TAIL_SHARE tol/3, never below m0 - 1 nor above _M_CAP; at eps = 0 it is
+    _M_CAP.  A class of m = r (mod q) has one run more than it has wraps,
+    so a column has about 2q + (M - m0 + 1)|eps| points.
+    """
+    cands = [_convergents(b) for b in beta.tolist()]
+    col = np.repeat(np.arange(beta.size), [len(c) for c in cands])
+    pm, q, eps = (np.array(v) for v in zip(*(c for cs in cands for c in cs)))
+    qf, e, m0c, tt = q.astype(float), np.abs(eps), m0[col], _TAIL_SHARE * tol[col] / 3.0
+    a, c0, c1, cb, k, cc = _SERIES_TAIL[n]
     with np.errstate(divide="ignore"):
-        terms = np.divide(1.0, scale[:, None] * dist)
-    np.minimum((1.0 / M)[:, None], terms, out=terms)
-    return np.divide(terms, _K2[: dist.shape[1]], out=terms)
+        coef_a = a * qf**-n / e + (qf + 1.0) * (c0 + c1 * e)
+    x = np.maximum(np.maximum((coef_a / tt) ** (1.0 / s),
+                              (cb * e**k / ((s - 1.0) * tt)) ** (1.0 / (s - 1.0))),
+                   (cc * s * qf**2 / tt) ** (1.0 / (s + 1.0)))
+    M = x + np.maximum(0.5 * qf, 1.0) - 1.0
+    M = np.minimum(np.ceil(np.maximum(M, m0c - 1.0)), _M_CAP)
+    points = 2.0 * qf + (M - m0c + 1.0) * e
+    best = np.lexsort((points, col))
+    best = best[np.diff(col[best], prepend=-1) != 0]  # the first of each column
+    return pm[best], q[best], eps[best], M[best].astype(np.int64), points[best]
 
 
-def _b2_truncations(beta: np.ndarray, m_start: np.ndarray, tol: np.ndarray) -> np.ndarray:
-    """The direct-sum truncation M of the B~2 series for every column.
+def _z(sigma: int, x: np.ndarray) -> np.ndarray:
+    """Z with Z(x) - Z(x + L) = sum_{i < L} (x + i)^(-sigma) for integer L >= 0."""
+    if sigma >= 2:
+        return hurwitz_zeta(sigma, x)
+    return -digamma(x) if sigma == 1 else -x
 
-    M doubles from max(m_start + 256, 2048) until series_remainder_bound
-    (beta, M) <= tol, on that function's float formula, with the distances
-    ||k beta|| taken once per column and reused across doublings.  A
-    doubling is certified without the full formula while the first _K_HEAD
-    of its _K_MAX summands, less a 1e-12 relative margin, already put the
-    bound above tol: the summands are nonnegative and the margin exceeds the
-    rounding of either sum, so the full formula would exceed tol too.
+
+def _drift_class_sums(n: int, s: int, pm, q, eps, m0, M) -> np.ndarray:
+    """sum_{m0 <= m <= M} B~n(m beta) m^(-s) per column, run by run, with beta = p/q + eps/q.
+
+    Class r holds m = r + j q for j0 <= j <= j1.  There m beta = k/q + m delta
+    modulo 1, with k = r p mod q and delta = eps/q, so the argument drifts
+    by eps per step of j and B~n is the polynomial B_n(k/q - K + m delta) on
+    each run of j where floor(k/q + m delta) = K.  A run's sum over
+    m^(i - s) is q^(i - s) (Z(j_a + r/q) - Z(j_b + 1 + r/q)) with Z of _z, so
+    each class is a sum over its points (its ends and the first j of each
+    run) of Z times the change of the run polynomial's coefficients there.
+    The points are taken _POINT_BLOCK at a time.
     """
-    M = np.maximum(m_start + 256, 2048)
-    for k_used, margin in ((_K_HEAD, 1.0 - 1e-12), (_K_MAX, 1.0)):
-        rows = max(1, _SUM_BLOCK // k_used)
-        for lo in range(0, beta.size, rows):
-            sl = slice(lo, lo + rows)
-            kb = beta[sl, None] * _K[:k_used]
-            dist = np.abs(kb - np.round(kb), out=kb)
-            Mb, tb = M[sl], tol[sl]  # Mb is a view: doubling it doubles M
-            todo = np.arange(Mb.size)
-            while todo.size:
-                m = Mb[todo]
-                head = np.sum(_bound_terms(dist[todo], m), axis=1) * margin
-                bound = (head + 1.0 / (m * _K_MAX)) / math.pi**2
-                todo = todo[bound > tb[todo]]
-                Mb[todo] *= 2
-                if np.any(Mb[todo] > _M_BUDGET):
-                    raise RuntimeError("series truncation exceeded budget")
-    return M
+    cls = np.repeat(np.arange(q.size), q)  # the column of each class
+    r = np.arange(cls.size) - np.repeat(np.cumsum(q) - q, q)
+    qc, ec = q[cls], eps[cls]
+    k = (r * pm[cls]) % qc
+    j0 = -((r - m0[cls]) // qc)
+    j1 = (M[cls] - r) // qc
+    u = (k + r * ec) / qc  # the argument at j = 0
+    lo = np.floor(u + j0 * ec)
+    runs = np.abs(np.floor(u + j1 * ec) - lo).astype(np.int64) + 1
+    npt = np.where(j1 >= j0, runs + 1, 0)
+    first = np.cumsum(npt) - npt
+    out = np.zeros(q.size)
+    for b0 in range(0, int(first[-1] + npt[-1]), _POINT_BLOCK):
+        idx = np.arange(b0, min(b0 + _POINT_BLOCK, int(first[-1] + npt[-1])))
+        pc = np.searchsorted(first, idx, side="right") - 1  # the class of each point
+        i = idx - first[pc]
+        ep, qp = ec[pc], qc[pc].astype(float)
+        up = ep > 0.0
+        # point i > 0 is the first j past the level crossed by the argument
+        # (B~1 is right-continuous); the last point is j1 + 1
+        with np.errstate(divide="ignore", invalid="ignore"):  # eps = 0 has no inner points
+            t = (lo[pc] + np.where(up, i, 1 - i) - u[pc]) / ep
+        j = np.clip(np.where(up, np.ceil(t), np.floor(t) + 1.0), j0[pc], j1[pc] + 1)
+        j = np.where(i == 0, j0[pc], np.where(i == runs[pc], j1[pc] + 1, j))
+        x = j + r[pc] / qp
+        step = np.where(up, 1.0, -1.0)
+        a = k[pc] / qp - (lo[pc] + step * i)  # the run from point i is B_n(a + m delta)
+        # the change of the coefficients of m^i, times q^(i - s) delta^i = q^-s eps^i
+        w = (np.where((i < runs[pc])[:, None], np.vander(a, n + 1, increasing=True), 0.0)
+             - np.where((i > 0)[:, None], np.vander(a + step, n + 1, increasing=True), 0.0))
+        w = (w @ _TAYLOR[n]) * (qp**-s)[:, None] * np.vander(ep, n + 1, increasing=True)
+        total = sum(w[:, e] * _z(s - e, x) for e in range(n + 1))
+        out += np.bincount(cls[pc], weights=total, minlength=q.size)
+    return out
 
 
-def _bn_series_vec(n: int, beta: np.ndarray, s: float, m_start: np.ndarray,
-                   tol: np.ndarray, pairs: list) -> np.ndarray:
-    """sum_{m >= m_start[j]} B~n(m beta[j]) m^(-s) within tol[j], every column j.
+def _bn_series_vec(n: int, beta: np.ndarray, s: int, m_start: np.ndarray,
+                   tol: np.ndarray) -> np.ndarray:
+    """sum_{m >= m_start[j]} B~n(m beta[j]) m^(-s) within tol[j], for every column j.
 
-    pairs is _rational_pairs(beta), which callers share between series.
-    Columns that _rational_path sends to p/q are summed exactly over residue
-    classes; the rest are direct sums out to M, from _b2_truncations for B~2
-    at s = 2 and from the crude tail sup|B~n| M^(1-s)/(s-1) <= tol otherwise.
+    One path for every beta.  Of the continued-fraction convergents p/q of
+    beta (q <= _Q_MAX, exact on the float) each column takes the one whose
+    drift-class sum needs the fewest points (_series_plans), with
+    eps = q beta - p, and sums m0 <= m <= M exactly by runs
+    (_drift_class_sums); at eps = 0 every class is a single run out to
+    _M_CAP, the exact residue-class sum of a rational beta.
+
+    Tail certificate.  Past M, class r sums g_r(m) = B~n(k_r/q + m delta)
+    m^(-s) at m = m1, m1 + q, ... with m1 in (M, M + q].  The midpoint rule
+    on panels of width q compares it with (1/q) int g_r from m1 - q/2 >=
+    X = M + 1 - max(q/2, 1): to half the variation of g_r on each panel for
+    B~1, which jumps, and to q/4 times the variation of g_r' for the
+    continuous B~n, n >= 2.  Moving every lower limit to M costs at most
+    ((q + 1)/4) sup|B~n| X^(-s) over all classes.  The k_r run over all residues
+    (gcd(p, q) = 1), so by the multiplication theorem the integrals from M
+    add up to q^(-n) int_M^inf B~n(eps v) v^(-s) dv, at most
+    a q^(-n) X^(-s)/|eps| by parts.  With the constants of _tail_constants:
+
+        |tail| <= A X^(-s) + B X^(1-s) + C X^(-s-1),
+        A = a q^(-n)/|eps| + (q + 1) (c0 + c1 |eps|),  B = cb |eps|^k/(s - 1),  C = cc q^2 s,
+
+    and M holds each term to _TAIL_SHARE tol/3.  Where M reaches the cap
+    2^62 (always at eps = 0, where A is infinite) the plain bound
+    sup|B~n| M^(1-s)/(s - 1) < 4e-20 holds instead.
+
+    The rest of tol covers rounding.  Run polynomials are expanded about
+    m = 0, so their coefficients grow like K^(n-i) with the wraps K before
+    the run, and the Hurwitz, digamma and count terms cancel by that much;
+    the plans keep K small, and against mpmath the run sums of the plans in
+    tests/test_tails.py::TestSpotTable are off by at most 1e-15.
     """
-    pairs = [_rational_path(n, s, b, t, pq)
-             for b, t, pq in zip(beta.tolist(), tol.tolist(), pairs)]
+    pm, q, eps, M, points = _series_plans(n, s, beta, m_start, tol)
     out = np.empty(beta.shape)
-    for j, pq in enumerate(pairs):
-        if pq is not None:
-            out[j] = _rational_series(n, pq[0], pq[1], s, int(m_start[j]))
-    d = np.array([pq is None for pq in pairs], dtype=bool)
-    if not d.any():
-        return out
-    if n == 2 and s == 2.0:
-        M = _b2_truncations(beta[d], m_start[d], tol[d])
-    else:
-        # the crude certified tail, in scalar arithmetic
-        M = [max(int(math.ceil((_B_SUP[n] / (t * (s - 1.0))) ** (1.0 / (s - 1.0)))), m + 16)
-             for t, m in zip(tol[d].tolist(), m_start[d].tolist())]
-    out[d] = _direct_sums(n, s, beta[d], m_start[d], M)
+    for sl in _column_blocks(points, _POINT_BLOCK):
+        out[sl] = _drift_class_sums(n, s, pm[sl], q[sl], eps[sl], m_start[sl], M[sl])
     return out
 
 
 def b2_series(beta: float, m_start: int, tol: float = 1e-10) -> float:
     """sum_{m >= m_start} B~2(m beta) m^(-2), absolute error below tol.
 
-    Rational beta (integers included), or beta whose shift to a nearby p/q
-    _rational_path certifies, is summed exactly over residue classes mod q.
-    Otherwise: direct chunks out to M, with M doubled until the certified
-    Fourier remainder bound fits under tol.
+    bn_series(2, beta, 2, m_start, tol): a one-column call of the
+    drift-class engine _bn_series_vec, which sums every beta by one path.
     """
-    return bn_series(2, beta, 2.0, m_start, tol)
+    return bn_series(2, beta, 2, m_start, tol)
 
 
-def bn_series(n: int, beta: float, s: float, m_start: int, tol: float = 1e-10) -> float:
-    """sum_{m >= m_start} B~n(m beta) m^(-s) for s >= 2, error below tol.
+def bn_series(n: int, beta: float, s: int, m_start: int, tol: float = 1e-10) -> float:
+    """sum_{m >= m_start} B~n(m beta) m^(-s), absolute error below tol.
 
-    A one-column call of _bn_series_vec.
+    s is an integer >= max(2, n): a run's polynomial of degree n against
+    m^(-s) then needs Hurwitz zeta only at exponents >= 2 (scipy's is NaN
+    below 1), digamma at 1 and counts at 0.  A one-column call of
+    _bn_series_vec, whose docstring gives the method and its certificate.
     """
     if n not in _B_POLY:
         raise ValueError(f"order must be 1..4, got {n}")
-    if not s >= 2.0:
-        raise ValueError(f"bn_series requires s >= 2, got {s}")
-    if not m_start >= 1:
-        raise ValueError(f"m_start must be >= 1, got {m_start}")
+    if not (s >= max(2, n) and float(s).is_integer()):
+        raise ValueError(f"bn_series requires s an integer >= max(2, n) = {max(2, n)}, got {s}")
+    if not (m_start >= 1 and float(m_start).is_integer()):
+        raise ValueError(f"m_start must be an integer >= 1, got {m_start}")
     if not (math.isfinite(beta) and beta > 0.0):
         raise ValueError(f"beta must be finite and > 0, got {beta}")
     _check_tol(tol)
-    col = _bn_series_vec(n, np.array([beta], dtype=float), s, np.array([m_start], dtype=np.int64),
-                         np.array([tol], dtype=float), [_as_rational(beta)])
-    return float(col[0])
+    return float(_bn_series_vec(n, np.array([float(beta)]), int(s),
+                                np.array([m_start], dtype=np.int64), np.array([float(tol)]))[0])
 
 
 def _column_blocks(sizes: np.ndarray, cap: int):
@@ -547,8 +525,9 @@ def mixed_power_tail(A: float, alpha, tol: float = 1e-11):
     is integrated numerically out to T2 with its crude tail certified by
     sup|B~4 B~1| = 1/60.  The pure tails, B~3(A), B~4(A), T2 and the
     window's integer cuts depend on A and tol only and are computed once
-    for every alpha; the jump series run through _bn_series_vec and the
-    windows through _remainder_windows.
+    for every alpha.  The jump series sum_m B~n(m/alpha) m^(-n), n = 3, 4,
+    are one drift-class sum per alpha (_bn_series_vec), the windows run
+    through _remainder_windows.
     """
     if not A >= 1.0:
         raise ValueError(f"mixed_power_tail requires A >= 1, got {A}")
@@ -562,16 +541,15 @@ def mixed_power_tail(A: float, alpha, tol: float = 1e-11):
     b1_at_edge = bernoulli_tilde(1, alpha * A)  # right-continuous at jumps
     m0 = np.floor(alpha * A).astype(np.int64) + 1  # first jump strictly past A
     inv = 1.0 / alpha
-    pairs = _rational_pairs(inv)
     a3 = np.array([a**3 for a in al])
     a4 = np.array([a**4 for a in al])
 
     total = -bernoulli_tilde(3, A) * b1_at_edge * A**-3 / 3.0
     total -= (alpha / 3.0) * tilde_power_tail(3, 3.0, A, tol_i)
-    total += (a3 / 3.0) * _bn_series_vec(3, inv, 3.0, m0, tol_i * 3.0 / a3, pairs)
+    total += (a3 / 3.0) * _bn_series_vec(3, inv, 3, m0, tol_i * 3.0 / a3)
     total -= bernoulli_tilde(4, A) * b1_at_edge * A**-4 / 4.0
     total -= (alpha / 4.0) * tilde_power_tail(4, 4.0, A, tol_i)
-    total += (a4 / 4.0) * _bn_series_vec(4, inv, 4.0, m0, tol_i * 4.0 / a4, pairs)
+    total += (a4 / 4.0) * _bn_series_vec(4, inv, 4, m0, tol_i * 4.0 / a4)
 
     # remainder window: cuts at the integers and at the B~1(alpha t) jumps
     T2 = max(int(math.ceil(A)) + 1, int(math.ceil((1.0 / (240.0 * tol_i)) ** 0.25)))
@@ -591,7 +569,7 @@ def kernel_moment(x: float, s: float, tol: float = 1e-11) -> float:
     """
     if not 0.0 < x <= 1.0:
         raise ValueError("kernel_moment requires x in (0, 1]")
-    if s < -1.0:
-        raise ValueError("kernel_moment requires s >= -1")
+    if not s >= -1.0:
+        raise ValueError(f"kernel_moment requires s >= -1, got {s}")
     scale = x ** (-s - 1.0)
     return -scale * tilde_power_tail(1, s + 2.0, 1.0 / x, tol / max(scale, 1.0))

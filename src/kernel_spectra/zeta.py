@@ -42,8 +42,8 @@ def zeta(s: float) -> float:
     error is at most 1e-14, the absolute error 4.3e-14 where |s - 1| >= 0.01.
     """
     s = float(s)
-    if s <= -1.0:
-        raise ValueError("zeta requires s > -1")
+    if not s > -1.0:
+        raise ValueError(f"zeta requires s > -1, got {s}")
     if s == 1.0:
         raise ValueError("pole at s = 1")
     return float(scipy_zeta(s))
@@ -67,8 +67,8 @@ def zeta_connect_residual(s: float, x: float, tol: float = 1e-10) -> float:
     """
     s = float(s)
     x = float(x)
-    if s <= 0.0:
-        raise ValueError("zeta_connect_residual requires s > 0")
+    if not s > 0.0:
+        raise ValueError(f"zeta_connect_residual requires s > 0, got {s}")
     if not 0.0 < x <= 1.0:
         raise ValueError("x must lie in (0, 1]")
     lhs = (s + 1.0) * x ** (s + 1.0) * kernel_moment(x, s, tol)
@@ -132,8 +132,8 @@ def laplace_h_residual(s: float, tol: float = 1e-10) -> float:
         int_0^1 K(1,y) y^(s-1) dy = (zeta(s) - 1/(s-1) - 1/2) / s,   s > 0.
     """
     s = float(s)
-    if s <= 0.0:
-        raise ValueError("laplace_h_residual requires s > 0")
+    if not s > 0.0:
+        raise ValueError(f"laplace_h_residual requires s > 0, got {s}")
     if s == 1.0:
         raise ValueError("pole at s = 1")
     lhs = kernel_moment(1.0, s - 1.0, tol)
@@ -162,8 +162,8 @@ def em_identity_residual(s: float, x: float, tol: float = 1e-10) -> float:
     """
     s = float(s)
     x = float(x)
-    if s < 0.0:
-        raise ValueError("em_identity_residual requires s >= 0")
+    if not s >= 0.0:
+        raise ValueError(f"em_identity_residual requires s >= 0, got {s}")
     if not 0.0 < x <= 1.0:
         raise ValueError("x must lie in (0, 1]")
     lhs = kernel_moment(x, s, tol)
@@ -202,10 +202,10 @@ def hankel_apply(F, u: float, V: float = 40.0) -> float:
     G(u) is sqrt(x) int_0^1 K(x,y) f(y) dy at x = e^-u.
     """
     u = float(u)
-    if u < 0.0:
-        raise ValueError("u must be nonnegative")
-    if V <= 0.0:
-        raise ValueError("V must be positive")
+    if not u >= 0.0:
+        raise ValueError(f"u must be nonnegative, got {u}")
+    if not V > 0.0:
+        raise ValueError(f"V must be positive, got {V}")
     m_cap = 1 << 20
     log_cap = math.log(m_cap)
     v_bp = min(V, log_cap - u) if log_cap > u else 0.0

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -6,6 +7,14 @@ import pytest
 from kernel_spectra.cli import main
 from kernel_spectra.quadrature import uniform_rule
 from kernel_spectra.spectra import K2_EIGEN_TOL, assemble, cross_validate_k2, eigensolve
+
+
+def _assert_env(env):
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert env["threads"] == {var: os.environ.get(var)
+                              for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    assert env["cpus"] == len(os.sched_getaffinity(0)) >= 1
 
 
 def test_spectrum_json_matches_library(capsys):
@@ -19,6 +28,7 @@ def test_spectrum_json_matches_library(capsys):
     assert 0.0 <= record["residual"] <= 1e-11
     assert 0.0 <= record["orthogonality"] <= 1e-11
     assert record["assemble_s"] >= 0.0 and record["eigensolve_s"] >= 0.0
+    _assert_env(record["env"])
 
 
 def test_spectrum_text_output(capsys):
@@ -27,7 +37,7 @@ def test_spectrum_text_output(capsys):
     assert lines[0] == "n: 8"
     assert [line.split(":")[0] for line in lines] == [
         "n", "eigenvalues", "floor", "discarded", "residual", "orthogonality",
-        "assemble_s", "eigensolve_s",
+        "assemble_s", "eigensolve_s", "env",
     ]
     lam = np.array(json.loads(lines[1].split(": ", 1)[1]))
     assert lam.size == 8 and np.all(np.isfinite(lam))
@@ -46,6 +56,7 @@ def test_k2_json_matches_library(capsys):
     assert record["hs_norm_sq"] == xc.hs_norm_sq
     assert 0.0 <= record["residual"] <= K2_EIGEN_TOL
     assert record["k2_fill_s"] > 0.0 and record["eigensolve_s"] > 0.0
+    _assert_env(record["env"])
 
 
 def test_k2_text_output(capsys):
@@ -53,7 +64,7 @@ def test_k2_text_output(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == [
         "n", "count", "eigenvalues", "rel_discrepancies", "residual", "hs_norm_sq",
-        "k2_fill_s", "eigensolve_s",
+        "k2_fill_s", "eigensolve_s", "env",
     ]
 
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernel_spectra import tails
 from kernel_spectra.bernoulli import bernoulli_tilde
 from kernel_spectra.iterated import (
     DIAGONAL_BOUND,
@@ -23,12 +22,7 @@ from kernel_spectra.iterated import (
 )
 from kernel_spectra.kernel import k_eval
 from kernel_spectra.quadrature import composite_rule, uniform_rule
-from kernel_spectra.tails import (
-    _as_rational,
-    _rational_pairs,
-    _tilde_tail_vec,
-    tilde_power_tail,
-)
+from kernel_spectra.tails import _tilde_tail_vec, tilde_power_tail
 
 LOG_2PI_MINUS_74 = math.log(2.0 * math.pi) - 1.75
 
@@ -338,8 +332,8 @@ class TestBatchedRow:
             self._assert_row_matches_scalar(float(x[a]), x[sorted(cols)])
 
     def test_rational_ratios_take_the_scalar_path(self):
-        # p/q, then 1 and 2 ulp off (inside _as_rational's window) and
-        # 3 ulp off (a near miss), on either side
+        # p/q, then 1, 2 and 3 ulp off it on either side, and random ratios,
+        # as columns of one row against the one-column calls
         near = {0: [], 1: [], 2: [], 3: []}
         for q in (1, 2, 3, 7, 12, 16384):
             for p in (q + 1, 3 * q + 1, 5 * q - 1, 37 * q + 5):
@@ -349,54 +343,19 @@ class TestBatchedRow:
                     up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
                     near[ulps] += [float(up), float(down)]
         rand = np.random.default_rng(3).uniform(1.0, 900.0, 200).tolist()
-        betas = np.array(near[0] + near[1] + near[2] + near[3] + rand)
-        ref = [_as_rational(b) for b in betas.tolist()]
-        assert _rational_pairs(betas) == ref
-        assert all(r is not None for r in ref[: 5 * len(near[0])])
-        # the same ratios as columns of one row, against the scalar route
         x = 1.0 / 1024.0
         b = np.array(near[0] + near[1] + near[2] + near[3] + rand)
         self._assert_row_matches_scalar(x, np.unique(x * b[x * b <= 1.0]))
 
-    @pytest.mark.parametrize("size", [31, 32])
-    def test_prefilter_runs_from_32_entries(self, size, monkeypatch):
-        # p/q and 1 ulp off it, mixed with irrational ratios: below 32 entries
-        # every entry takes the exact test, from 32 only the flagged ones do
-        near = [p / q for q in (1, 3, 7, 12, 16384) for p in (q + 1, 37 * q + 5)]
-        near += [float(np.nextafter(b, np.inf)) for b in near]
-        rand = np.random.default_rng(31).uniform(1.0, 900.0, size - len(near)).tolist()
-        betas = near + rand
-        ref = [_as_rational(b) for b in betas]
-        calls = []
+    # y/x a few ulp above 2 (ulp(2) = 2^-51), or 2e-13 .. 1e-7 relative above
+    # it: the old Fourier path ran out of its truncation budget on most of these
+    NEAR_TWO = [(u, 2.0 + u * 2.0**-51) for u in (3, 4, 8, 64)]
+    NEAR_TWO += [(f"r{r:g}", 2.0 * (1.0 + r))
+                 for r in (2e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7)]
 
-        def counted(b, max_den=16384):
-            calls.append(b)
-            return _as_rational(b, max_den)
-
-        monkeypatch.setattr(tails, "_as_rational", counted)
-        assert _rational_pairs(np.array(betas)) == ref
-        assert sum(r is not None for r in ref) == len(near)
-        assert len(calls) == (size if size < 32 else len(near))
-
-    def test_prefilter_covers_the_acceptance_window(self):
-        # p/q off by 9e-14 relative, inside _as_rational's 1e-13 window, up
-        # to and past the 2^14 where Legendre's theorem stops covering it
-        betas = [p / q * (1.0 + r)
-                 for q in (1, 7, 12, 16383, 16384)
-                 for p in (q + 1, 37 * q + 5, 16383 * q + 1, 32768 * q + 1, 900000 * q + 1)
-                 for r in (-9e-14, 9e-14)]
-        ref = [_as_rational(b) for b in betas]
-        assert all(r is not None for r in ref)
-        assert _rational_pairs(np.array(betas)) == ref
-
-    @pytest.mark.parametrize("ulps", [3, 4, 8, 64])
-    def test_near_rational_ratio_outside_the_ulp_window(self, ulps):
-        # y/x a few ulp above 2 once exhausted the Fourier path's truncation
-        # budget; the shift to p/q = 2 is now certified instead
+    @pytest.mark.parametrize("beta", [b for _, b in NEAR_TWO], ids=[str(i) for i, _ in NEAR_TWO])
+    def test_near_rational_ratio_outside_the_ulp_window(self, beta):
         x = 1.0 / 1024.0
-        beta = 2.0
-        for _ in range(ulps):
-            beta = float(np.nextafter(beta, np.inf))
         ev = K2Evaluator(tol=self.TOL)
         closed = k2_closed(x, x * beta, ev)
         assert abs(closed - k2_quadrature(x, x * beta, ev)) <= 2.0 * self.TOL

@@ -27,6 +27,9 @@ class TestKEval:
             k_eval(-0.1, 0.5)
         with pytest.raises(ValueError):
             k_eval(0.5, 1.1)
+        for x, y in ((math.nan, 0.5), (0.5, math.nan), (np.array([0.5, math.nan]), 0.5)):
+            with pytest.raises(ValueError, match="x, y in"):
+                k_eval(x, y)
 
     def test_symmetry_random_pairs(self):
         rng = np.random.default_rng(42)
@@ -170,6 +173,13 @@ class TestDeltaR:
             delta_r(0.0, 0.5, 0.0)
         with pytest.raises(ValueError):
             delta_r(0.5, 1.5, 0.0)
+        for tol in (0.0, -1e-7, math.nan):
+            with pytest.raises(ValueError, match="tol > 0"):
+                delta_r(0.5, 0.3, 1.0, tol=tol)
+        with pytest.raises(ValueError, match="r > -1"):
+            delta_r(0.5, 0.3, math.nan)
+        with pytest.raises(ValueError, match="a, b in"):
+            delta_r(math.nan, 0.3, 1.0)
 
     @given(
         a=st.floats(min_value=0.1, max_value=1.0),

@@ -61,6 +61,17 @@ class TestZetaValues:
     def test_range_rejected(self):
         with pytest.raises(ValueError):
             zeta(-1.5)
+        with pytest.raises(ValueError, match="s > -1"):
+            zeta(math.nan)
+        # the residuals' and the moment's exponents are checked where they enter
+        with pytest.raises(ValueError, match="zeta_connect_residual requires s > 0"):
+            zeta_connect_residual(math.nan, 0.5)
+        with pytest.raises(ValueError, match="em_identity_residual requires s >= 0"):
+            em_identity_residual(math.nan, 0.5)
+        with pytest.raises(ValueError, match="laplace_h_residual requires s > 0"):
+            laplace_h_residual(math.nan)
+        with pytest.raises(ValueError, match="kernel_moment requires s >= -1"):
+            kernel_moment(0.5, math.nan)
 
 
 class TestPartialSumConnection:
@@ -165,3 +176,7 @@ class TestHankelForm:
             hankel_apply(lambda v: v, -1.0)
         with pytest.raises(ValueError):
             hankel_apply(lambda v: v, 1.0, V=0.0)
+        with pytest.raises(ValueError, match="u must be nonnegative"):
+            hankel_apply(lambda v: v, math.nan)
+        with pytest.raises(ValueError, match="V must be positive"):
+            hankel_apply(lambda v: v, 0.0, V=math.nan)
