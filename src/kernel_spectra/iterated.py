@@ -29,7 +29,7 @@ import numpy as np
 
 from .bernoulli import bernoulli_tilde, log_factorial
 from .kernel import k_eval
-from .quadrature import composite_rule, kernel_breakpoints
+from .quadrature import composite_rule, merged_breakpoint_blocks
 from .tails import (
     _bn_series_vec,
     _direct_sums,
@@ -167,20 +167,23 @@ def k2_quadrature(x: float, y: float, evaluator: K2Evaluator | None = None) -> f
     eps = min(max(math.sqrt(6.0 * tol), 1.0 / (x * 4.0e6)), 0.5)
     u = 1.0 / x
     v = 1.0 / y
-    cuts = np.union1d(kernel_breakpoints(x, eps), kernel_breakpoints(y, eps))
-    lo = cuts[:-1]
-    hi = cuts[1:]
-    mid = 0.5 * (lo + hi)
-    c1 = np.floor(u / mid) + 0.5
-    c2 = np.floor(v / mid) + 0.5
-    dz = hi - lo
-    # stable per-panel differences: the raw antiderivative values are ~1/eps
-    # and would cancel catastrophically near the cutoff
-    bulk = float(
-        np.sum(
-            c1 * c2 * dz - (c1 * v + c2 * u) * np.log1p(dz / lo) + u * v * dz / (hi * lo)
+    bulk = 0.0
+    # the merged breakpoints of both rows, a bounded block at a time: near
+    # x = 0.01 the rows have ~1/(x eps) = 4e5 of them
+    for cuts in merged_breakpoint_blocks(x, y, eps):
+        lo = cuts[:-1]
+        hi = cuts[1:]
+        mid = 0.5 * (lo + hi)
+        c1 = np.floor(u / mid) + 0.5
+        c2 = np.floor(v / mid) + 0.5
+        dz = hi - lo
+        # stable per-panel differences: the raw antiderivative values are ~1/eps
+        # and would cancel catastrophically near the cutoff
+        bulk += float(
+            np.sum(
+                c1 * c2 * dz - (c1 * v + c2 * u) * np.log1p(dz / lo) + u * v * dz / (hi * lo)
+            )
         )
-    )
     alpha = x / y
     tp = 1.0 / (x * eps)
     sub = 0.25 * tol * x
@@ -219,31 +222,12 @@ def k2_diag_exact(x: float) -> float:
 _B2_TAIL_SUP = 1.0 / (18.0 * math.sqrt(3.0))
 
 
-def _g_tail(a: float, tol: float) -> float:
-    """G(a) = int_a^inf B2~(t) t^-3 dt, certified to tol."""
-    return tilde_power_tail(2, 3, a, tol)
-
-
 def _w21(a: float, b: float, tol: float) -> float:
     """int_a^b B2~(t) t^-1 dt as a difference of certified tails.
 
     The infinite t^-1 tails converge because B2~ has zero mean.
     """
     return tilde_power_tail(2, 1, a, 0.5 * tol) - tilde_power_tail(2, 1, b, 0.5 * tol)
-
-
-def _g_series(beta: float, m_start: int, tol: float) -> float:
-    """sum_{m >= m_start} G(m beta), certified to tol.
-
-    Truncated where the envelope _B2_TAIL_SUP (m beta)^-3 makes the tail
-    sum at most tol/2; the other half is split over the summed terms in
-    proportion to that same envelope.
-    """
-    m_hi = m_start + int(math.sqrt(_B2_TAIL_SUP / (beta**3 * tol))) + 1
-    a = np.arange(m_start, m_hi + 1, dtype=float) * beta
-    env = a**-3
-    tol_m = 0.5 * tol * env / float(np.sum(env))
-    return float(np.sum(_tilde_tail_vec(2, 3.0, a, tol_m)))
 
 
 def _u_cuts(u_hi: float, steps: tuple[float, ...]) -> np.ndarray:
@@ -271,6 +255,20 @@ def i0_eval(x: float, y: float, tol: float = 1e-8) -> float:
       int_0^x [mixed-tail term] dz     = int_1^inf B1~(u/y) u^-1 G(u/x) du
 
     with G(a) = int_a^inf B2~ t^-3 dt and H(a) = int_a^inf B2~ t^-2 dt.
+    The series over m > 1/y is summed under the integral: with beta = y/x,
+    m0 = floor(1/y) + 1 and a = m0 beta > 1/x, the count of m >= m0 with
+    m beta <= t is floor(t/beta) - m0 + 1, and floor(u) = u - 1/2 - B1~(u)
+    turns the sum into two pure tails and a mixed tail,
+
+      sum_{m >= m0} G(m beta) = H(a)/beta + (1/2 - m0) G(a)
+                                - int_a^inf B2~(t) B1~(t/beta) t^-3 dt,
+
+    the last being mixed_power_tail(a, x/y) (_i0_series_term).  Split of
+    tol: the boundary, H, series and mixed terms take tol/4 each; the
+    series term is half the sum, so the sum may be off by tol/2, and each
+    of its three pieces takes a third of that divided by the piece's
+    factor (1/beta, m0 - 1/2 and 1).
+
     The direct route (quadrature of z -> k2_closed(z, y)) converges too
     slowly to be usable: K2(z, y) has derivative kinks on the dense set
     z = m y / j, giving its z-derivative unbounded variation.
@@ -281,13 +279,29 @@ def i0_eval(x: float, y: float, tol: float = 1e-8) -> float:
         raise ValueError("tol must be in (0, 1)")
     b1 = bernoulli_tilde(1, 1.0 / y)
     c_g = 0.5 * abs(b1) + 0.5 / y  # G(1/x) enters the boundary and H terms
-    g_1x = _g_tail(1.0 / x, 0.25 * tol / c_g)
+    g_1x = tilde_power_tail(2, 3.0, 1.0 / x, 0.25 * tol / c_g)
     h_1x = tilde_power_tail(2, 2, 1.0 / x, 0.25 * tol * y / x)
     t_boundary = -0.5 * b1 * g_1x
     t_h = -(x * h_1x - g_1x) / (2.0 * y)
-    t_series = 0.5 * _g_series(y / x, math.floor(1.0 / y) + 1, 0.25 * tol)
+    t_series = _i0_series_term(x, y, 0.25 * tol)
     t_mixed = _i0_mixed_term(x, y, 0.25 * tol)
     return t_boundary + t_mixed + t_h + t_series
+
+
+def _i0_series_term(x: float, y: float, tol: float) -> float:
+    """(1/2) sum_{m > 1/y} G(m y/x) by the exchange in i0_eval's docstring, certified to tol.
+
+    Each of the three pieces is certified to 2 tol/3 divided by its factor,
+    so the half sum is within tol.  tests/test_iterated.py::TestI0 compares
+    it with the termwise sum direct_g_series.
+    """
+    m0 = math.floor(1.0 / y) + 1
+    beta = y / x
+    a, third = m0 * beta, 2.0 * tol / 3.0
+    total = (tilde_power_tail(2, 2.0, a, third * beta) / beta
+             + (0.5 - m0) * tilde_power_tail(2, 3.0, a, third / (m0 - 0.5))
+             - mixed_power_tail(a, x / y, third))
+    return 0.5 * total
 
 
 def _i0_mixed_term(x: float, y: float, tol: float) -> float:

@@ -18,6 +18,7 @@ __all__ = [
     "gauss_legendre",
     "composite_rule",
     "kernel_breakpoints",
+    "merged_breakpoint_blocks",
     "uniform_rule",
     "QuadratureRule",
     "DEFAULT_PANELS",
@@ -121,3 +122,37 @@ def kernel_breakpoints(x: float, cutoff: float) -> np.ndarray:
     if z.size and z[-1] == 1.0:
         z = z[:-1]
     return np.concatenate(([cutoff], z, [1.0]))
+
+
+def _row_points_between(x: float, cutoff: float, lo: float, hi: float) -> np.ndarray:
+    """The points of kernel_breakpoints(x, cutoff) strictly between lo and hi, cutoff <= lo < hi <= 1."""
+    m_lo = max(math.ceil(1.0 / x), math.floor(1.0 / (x * hi)) - 1)
+    m_hi = min(math.ceil(1.0 / (x * cutoff)) - 1, math.ceil(1.0 / (x * lo)) + 1)
+    if m_hi < m_lo:
+        return np.empty(0)
+    z = 1.0 / (np.arange(m_lo, m_hi + 1, dtype=float) * x)
+    return z[(z > lo) & (z < hi)]
+
+
+def merged_breakpoint_blocks(x: float, y: float, cutoff: float, size: int = 1 << 14):
+    """np.union1d(kernel_breakpoints(x, cutoff), kernel_breakpoints(y, cutoff)) in blocks.
+
+    Yields ascending arrays of about `size` points at most, from high z to
+    low; consecutive blocks share their end point, so the panels between
+    neighbours inside the blocks are exactly the panels of the union.  The
+    block ends are points of the denser row, every size/2-th, so memory
+    stays bounded however many points the rows have.
+    """
+    if not (0.0 < x <= 1.0 and 0.0 < y <= 1.0):
+        raise ValueError(f"x and y must be in (0, 1], got {x}, {y}")
+    if not 0.0 < cutoff < 1.0:
+        raise ValueError(f"cutoff must be in (0, 1), got {cutoff}")
+    if x > y:
+        x, y = y, x
+    m_lo, m_hi = math.ceil(1.0 / x), math.ceil(1.0 / (x * cutoff)) - 1
+    step = max(size // 2, 1)
+    ends = 1.0 / (np.arange(m_lo + step, m_hi + 1, step, dtype=float) * x)
+    ends = np.concatenate(([1.0], ends[(ends > cutoff) & (ends < 1.0)], [cutoff]))
+    for hi, lo in zip(ends[:-1].tolist(), ends[1:].tolist()):
+        yield np.unique(np.concatenate(([lo, hi], _row_points_between(x, cutoff, lo, hi),
+                                        _row_points_between(y, cutoff, lo, hi))))

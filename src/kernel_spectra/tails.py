@@ -50,12 +50,9 @@ _B_POLY = {
     4: Polynomial([-1.0 / 30.0, 0.0, 1.0, -2.0, 1.0]),
 }
 
-_VEC_BLOCK = 1 << 18
-
-
 def _check_tol(tol: float) -> None:
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be > 0 and finite, got {tol}")
 
 
 def _piece_values(p: Polynomial) -> np.ndarray:
@@ -69,6 +66,17 @@ def _piece_values(p: Polynomial) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _ladder_levels(n: int, depth: int):
+    """The means of the ladder's pieces p_0 .. p_(depth-1) and sup|p_depth|; see _tail_ladder."""
+    p = _B_POLY[n]
+    means = []
+    for _ in range(depth):
+        means.append(float(p.integ()(1.0)))  # the mean of p on [0, 1]
+        h = (p - means[-1]).integ()
+        p = h - h(0.0)
+    return tuple(means), float(np.max(np.abs(_piece_values(p))))
+
+
 def _tail_ladder(n: int, q: float, depth: int = 6):
     """The by-parts ladder for int_T^inf B~n(t) t^(-q) dt at integer T >= 1.
 
@@ -83,30 +91,27 @@ def _tail_ladder(n: int, q: float, depth: int = 6):
     power tail, with the accumulated q multipliers.  Returns
     (terms, (bound_coef, bound_q)) with terms = ((coef_i, q_i), ...) so that
     the tail at T is sum coef_i T^(1-q_i)/(q_i - 1) and the remainder bound
-    |bound_coef T^(1-bound_q)/(bound_q - 1)|; the polynomial work depends on
-    (n, q, depth) alone and is cached.
+    |bound_coef T^(1-bound_q)/(bound_q - 1)|.  The polynomial work depends on
+    (n, depth) alone and is cached (_ladder_levels); a q costs a few float
+    multiplies.
     """
-    p = _B_POLY[n]
+    means, sup = _ladder_levels(n, depth)
     terms = []
     mult = 1.0
     qq = float(q)
-    for _ in range(depth):
-        m = float(p.integ()(1.0))  # the mean of p on [0, 1]
+    for m in means:
         if qq <= 1.0:
             if abs(m) > 1e-14:
                 raise ValueError("divergent tail: q <= 1 with nonzero mean")
         else:
             terms.append((mult * m, qq))
-        h = (p - m).integ()
-        h = h - h(0.0)
         mult *= qq
-        p = h
         qq += 1.0
-    return tuple(terms), (mult * float(np.max(np.abs(_piece_values(p)))), qq)
+    return tuple(terms), (mult * sup, qq)
 
 
 def _tail_at(n: int, q: float, T: int, depth: int = 6):
-    """(value, bound) of the B~n ladder at integer T, via the cached ladder."""
+    """(value, bound) of the B~n ladder at integer T, a float or an array of them."""
     terms, (bc, bq) = _tail_ladder(n, float(q), depth)
     value = 0.0
     for c, qi in terms:
@@ -143,10 +148,10 @@ def tilde_power_tail(n: int, q: float, A: float, tol: float = 1e-11) -> float:
     recursion at integer T, with T grown until its remainder bound fits.
     Any q > 0 converges, B~n having zero mean.
     """
-    if not A >= 1.0:
-        raise ValueError(f"tilde_power_tail requires A >= 1, got {A}")
-    if not q > 0.0:
-        raise ValueError(f"tilde_power_tail requires q > 0, got {q}")
+    if not 1.0 <= A < math.inf:
+        raise ValueError(f"tilde_power_tail requires A >= 1 and finite, got {A}")
+    if not 0.0 < q < math.inf:
+        raise ValueError(f"tilde_power_tail requires q > 0 and finite, got {q}")
     if n not in _B_POLY:
         raise ValueError(f"order must be 1..4, got {n}")
     _check_tol(tol)
@@ -165,44 +170,48 @@ def tilde_power_tail(n: int, q: float, A: float, tol: float = 1e-11) -> float:
 def _tilde_tail_vec(n: int, q: float, A: np.ndarray, tol: np.ndarray) -> np.ndarray:
     """Vectorized tilde_power_tail over many lower limits A >= 1.
 
-    Fast path: ladder remainder taken at T = max(ceil A, 2) plus a Gauss-16
-    window on [A, T] split in half (never longer than one unit, so no
-    interior integer cuts are needed).  Entries whose ladder bound at that T
-    exceeds tol/2 fall back to the scalar routine, and that is not rare:
-    iterated._g_series sends 1151 of them from i0_eval(0.9, 0.1) and 1089
-    from i0_eval(0.5, 0.05), and in a traced pointwise bench pass the 90
-    i0_eval calls make 14,026 of the 17,096 tilde_power_tail calls.  ROADMAP
-    item 3 removes _g_series, and with it most of these fallbacks.
+    Each entry takes the least integer T >= max(ceil A, 2) at which the
+    ladder bound |bc| T^(1-bq)/(bq - 1) is within tol/2, in closed form
+    (plus one where the float bound still misses), and the window [A, T]
+    is cut at the integers and halved as _window_integral cuts it.  All
+    the entries' panels are integrated in one batch, Gauss-16 on each half,
+    _SUM_BLOCK // 32 panels at a time, and summed per entry.
     """
     A = np.asarray(A, dtype=float)
-    tol_arr = np.broadcast_to(np.asarray(tol, dtype=float), A.shape)
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), A.shape)
     if A.size == 0:
         return np.zeros_like(A)
     if float(A.min()) < 1.0:
         raise ValueError("tilde tails require A >= 1")
-    if A.size > _VEC_BLOCK:  # bound peak memory of the (len, 16) node arrays
-        out = np.empty_like(A)
-        for lo in range(0, A.size, _VEC_BLOCK):
-            sl = slice(lo, lo + _VEC_BLOCK)
-            out[sl] = _tilde_tail_vec(n, q, A[sl], tol_arr[sl])
-        return out
-    terms, (bc, bq) = _tail_ladder(n, float(q))
+    _, (bc, bq) = _tail_ladder(n, float(q))
     T = np.maximum(np.ceil(A), 2.0)
-    bound = np.abs(bc * T ** (1.0 - bq) / (bq - 1.0))
-    val = np.zeros_like(A)
-    for c, qi in terms:
-        val += c * T ** (1.0 - qi) / (qi - 1.0)
-    xg, wg = gauss_legendre(16)
-    mid = 0.5 * (A + T)
-    for a, b in ((A, mid), (mid, T)):
-        half = 0.5 * (b - a)
-        nodes = (a + half)[:, None] + half[:, None] * xg[None, :]
-        vals = bernoulli_tilde(n, nodes) * nodes ** (-q)
-        val += np.sum(vals * (half[:, None] * wg[None, :]), axis=1)
-    slow = bound > 0.5 * tol_arr
-    for i in np.nonzero(slow)[0]:
-        val[i] = tilde_power_tail(n, q, float(A[i]), float(tol_arr[i]))
+    T = np.maximum(T, np.ceil((2.0 * abs(bc) / ((bq - 1.0) * tol)) ** (1.0 / (bq - 1.0))))
+    T += np.abs(bc * T ** (1.0 - bq) / (bq - 1.0)) > 0.5 * tol
+    val = _tail_at(n, q, T)[0]
+    first = np.floor(A)
+    panels = (T - first).astype(np.int64)  # [A, first + 1], then unit panels up to T
+    for sl in _column_blocks(panels, _SUM_BLOCK // 32):  # a panel is two halves of 16 nodes
+        cnt = panels[sl]
+        ent = np.repeat(np.arange(cnt.size), cnt)
+        hi = np.arange(ent.size) + np.repeat(first[sl] + 1.0 - (np.cumsum(cnt) - cnt), cnt)
+        val[sl] += _halved_panel_sums(np.maximum(A[sl][ent], hi - 1.0), hi, ent, cnt.size, 16,
+                                      lambda t, _: bernoulli_tilde(n, t) * t ** (-q))
     return val
+
+
+def _halved_panel_sums(lo, hi, owner, size: int, order: int, f) -> np.ndarray:
+    """Per owner j < size, the sum over its panels [lo, hi] of f(t, owner) integrated on each half.
+
+    Both halves of every panel take the order-point Gauss rule, as
+    _window_integral halves its panels; a zero-width panel adds zero.
+    """
+    mid = 0.5 * (lo + hi)
+    lo, hi, owner = np.concatenate((lo, mid)), np.concatenate((mid, hi)), np.tile(owner, 2)
+    half = 0.5 * (hi - lo)
+    xg, wg = gauss_legendre(order)
+    t = (lo + half)[:, None] + half[:, None] * xg
+    return np.bincount(owner, weights=np.sum(f(t, owner) * (half[:, None] * wg), axis=1),
+                       minlength=size)
 
 
 # no temporary of the direct sums, the windows or one block of series columns
@@ -464,14 +473,13 @@ def bn_series(n: int, beta: float, s: int, m_start: int, tol: float = 1e-10) -> 
 
 def _column_blocks(sizes: np.ndarray, cap: int):
     """Slices of consecutive columns whose sizes sum to at most cap (or one column)."""
-    start, acc = 0, 0
-    for j, size in enumerate(sizes.tolist()):
-        if acc and acc + size > cap:
-            yield slice(start, j)
-            start, acc = j, 0
-        acc += size
-    if start < len(sizes):
-        yield slice(start, len(sizes))
+    end = np.cumsum(sizes)
+    start = 0
+    while start < end.size:
+        before = end[start - 1] if start else 0
+        stop = max(int(np.searchsorted(end, before + cap, side="right")), start + 1)
+        yield slice(start, stop)
+        start = stop
 
 
 def _remainder_windows(A: float, T2: float, alpha: np.ndarray, m0: np.ndarray) -> np.ndarray:
@@ -485,7 +493,6 @@ def _remainder_windows(A: float, T2: float, alpha: np.ndarray, m0: np.ndarray) -
     base = np.concatenate(([A, T2], np.arange(k0, k1 + 1, dtype=float)))
     m_hi = np.floor(alpha * T2).astype(np.int64)
     n_jump = np.maximum(m_hi - m0 + 1, 0)
-    xg, wg = gauss_legendre(8)
     out = np.zeros(alpha.shape)
     # every cut adds at most two order-8 panels
     for sl in _column_blocks(base.size + n_jump, _SUM_BLOCK // 16):
@@ -500,19 +507,14 @@ def _remainder_windows(A: float, T2: float, alpha: np.ndarray, m0: np.ndarray) -
         order = np.lexsort((cuts, owner))
         cuts, owner = cuts[order], owner[order]
         same = owner[1:] == owner[:-1]
-        lo, hi, pc = cuts[:-1][same], cuts[1:][same], owner[1:][same]
-        mid = 0.5 * (lo + hi)
-        lo, hi, pc = np.concatenate((lo, mid)), np.concatenate((mid, hi)), np.tile(pc, 2)
-        half = 0.5 * (hi - lo)
-        t = (lo + half)[:, None] + half[:, None] * xg
-        f = bernoulli_tilde(4, t) * bernoulli_tilde(1, al[pc][:, None] * t) * t**-5
-        out[sl] = np.bincount(pc, weights=np.sum(f * (half[:, None] * wg), axis=1),
-                              minlength=ncol)
+        out[sl] = _halved_panel_sums(
+            cuts[:-1][same], cuts[1:][same], owner[1:][same], ncol, 8,
+            lambda t, pc: bernoulli_tilde(4, t) * bernoulli_tilde(1, al[pc][:, None] * t) * t**-5)
     return out
 
 
 def mixed_power_tail(A: float, alpha, tol: float = 1e-11):
-    """int_A^inf B~2(t) B~1(alpha t) t^(-3) dt for A >= 1, 0 < alpha <= 1.
+    """int_A^inf B~2(t) B~1(alpha t) t^(-3) dt for A >= 1 and any finite alpha > 0.
 
     alpha is a float (the result is a float) or a 1-D array (one result per
     entry).  Two integrations by parts against antiderivatives of the B~2
@@ -526,16 +528,17 @@ def mixed_power_tail(A: float, alpha, tol: float = 1e-11):
     sup|B~4 B~1| = 1/60.  The pure tails, B~3(A), B~4(A), T2 and the
     window's integer cuts depend on A and tol only and are computed once
     for every alpha.  The jump series sum_m B~n(m/alpha) m^(-n), n = 3, 4,
-    are one drift-class sum per alpha (_bn_series_vec), the windows run
-    through _remainder_windows.
+    are one drift-class sum per alpha (_bn_series_vec) at 1/alpha, which
+    is below 1 for alpha > 1.  The windows run through _remainder_windows;
+    a window has about alpha T2 jump cuts, so its cost grows like alpha T2.
     """
-    if not A >= 1.0:
-        raise ValueError(f"mixed_power_tail requires A >= 1, got {A}")
+    if not 1.0 <= A < math.inf:
+        raise ValueError(f"mixed_power_tail requires A >= 1 and finite, got {A}")
     _check_tol(tol)
     scalar = np.ndim(alpha) == 0
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    if alpha.ndim != 1 or not np.all((alpha > 0.0) & (alpha <= 1.0)):
-        raise ValueError(f"mixed_power_tail requires alpha in (0, 1], a float or 1-D, got {alpha}")
+    if alpha.ndim != 1 or not np.all((alpha > 0.0) & (alpha < math.inf)):
+        raise ValueError(f"mixed_power_tail requires alpha in (0, inf), a float or 1-D, got {alpha}")
     tol_i = tol / 7.0
     al = alpha.tolist()
     b1_at_edge = bernoulli_tilde(1, alpha * A)  # right-continuous at jumps
@@ -569,7 +572,8 @@ def kernel_moment(x: float, s: float, tol: float = 1e-11) -> float:
     """
     if not 0.0 < x <= 1.0:
         raise ValueError("kernel_moment requires x in (0, 1]")
-    if not s >= -1.0:
-        raise ValueError(f"kernel_moment requires s >= -1, got {s}")
+    if not -1.0 <= s < math.inf:
+        raise ValueError(f"kernel_moment requires s >= -1 and finite, got {s}")
+    _check_tol(tol)
     scale = x ** (-s - 1.0)
     return -scale * tilde_power_tail(1, s + 2.0, 1.0 / x, tol / max(scale, 1.0))

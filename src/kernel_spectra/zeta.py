@@ -149,6 +149,11 @@ def _power_panel_integral(s: float, x: float, a: float, b: float) -> float:
     return c * (a ** (-s) - b ** (-s)) / s
 
 
+# em_identity_residual sums its trapezoid defects this many at a time, so its
+# memory does not grow with m_cap
+_DEFECT_BLOCK = 1 << 14
+
+
 def em_identity_residual(s: float, x: float, tol: float = 1e-10) -> float:
     """Residual of the Euler-Maclaurin action identity for f(y) = y^s:
 
@@ -174,19 +179,20 @@ def em_identity_residual(s: float, x: float, tol: float = 1e-10) -> float:
     n0 = math.floor(1.0 / x) + 1
     # |sum_{n>M} trapezoid defects| <= |G'(M)|/12 with G'(nu) = -x^(-s-1) nu^(-s-2)
     m_cap = max(n0 + 16, math.ceil((x ** (-s - 1.0) / (6.0 * tol)) ** (1.0 / (s + 2.0))))
-    n = np.arange(n0, m_cap + 1, dtype=float)
-    gn = g(n)
-    gn1 = g(n + 1.0)
     panel = x ** (-s - 1.0) / (s + 1.0)
-    if s == 0.0:
-        panel_ints = panel * np.log((n + 1.0) / n)
-    else:
-        panel_ints = panel * (n ** (-s) - (n + 1.0) ** (-s)) / s
-    defects = 0.5 * (gn + gn1) - panel_ints
+    defects = 0.0
+    # m_cap reaches 4e5 near x = 0.01, s = 0; the defects are summed a block at a time
+    for b0 in range(n0, m_cap + 1, _DEFECT_BLOCK):
+        n = np.arange(b0, min(b0 + _DEFECT_BLOCK, m_cap + 1), dtype=float)
+        if s == 0.0:
+            panel_ints = panel * np.log((n + 1.0) / n)
+        else:
+            panel_ints = panel * (n ** (-s) - (n + 1.0) ** (-s)) / s
+        defects += float(np.sum(0.5 * (g(n) + g(n + 1.0)) - panel_ints))
     series_minus_integral = (
         0.5 * g(float(n0))
         - _power_panel_integral(s, x, 1.0 / x, float(n0))
-        + float(np.sum(defects))
+        + defects
     )
     rhs = series_minus_integral + (1.0 / (s + 1.0)) * float(k_eval(1.0, x))
     return abs(lhs - rhs)

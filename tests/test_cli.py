@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,3 +95,14 @@ def test_k2_rejects_bad_grid_size(capsys, n):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--n must be a positive multiple of 4" in captured.err
+
+
+def test_module_entry_point_runs():
+    # the declared entry point, in a fresh interpreter
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "kernel_spectra.cli", "spectrum", "--n", "8", "--json"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["n"] == 8 and len(record["eigenvalues"]) == 8

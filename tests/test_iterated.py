@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -10,8 +11,10 @@ from kernel_spectra.bernoulli import bernoulli_tilde
 from kernel_spectra.iterated import (
     DIAGONAL_BOUND,
     OFF_DIAGONAL_BOUND,
+    _B2_TAIL_SUP,
     K2Evaluator,
     _closed_literal,
+    _i0_series_term,
     _k2_row,
     i0_eval,
     i_eval,
@@ -74,6 +77,18 @@ class TestRouteAgreement:
         assert k2_diag_exact(0.5) == pytest.approx(0.08463721617836262, abs=1e-15)
         assert k2_closed(0.5, 0.5, K2Evaluator(tol=1e-12)) == pytest.approx(
             0.08463721617836262, abs=1e-11)
+
+    def test_quadrature_memory_bounded(self):
+        # the rows of x = 0.01 and 0.0101 have 8e5 merged breakpoints; they
+        # are summed in blocks, so the peak stays far below 8e5 floats
+        tracemalloc.start()
+        try:
+            quad = k2_quadrature(0.01, 0.0101)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert abs(quad - k2_closed(0.01, 0.0101)) <= 2.0 * K2Evaluator().tol
 
 
 class TestSymmetry:
@@ -191,7 +206,33 @@ def _i_order_swapped(x, y, w, eps=1e-4):
     return -float(np.dot(rule.weights, k_row * inner))
 
 
+def direct_g_series(beta, m_start, tol):
+    """sum_{m >= m_start} G(m beta) term by term, G(a) = int_a^inf B2~ t^-3 dt, certified to tol.
+
+    The oracle of _i0_series_term, which sums the same series under the
+    integral.  Truncated where the envelope _B2_TAIL_SUP (m beta)^-3 makes
+    the tail sum at most tol/2; the other half is split over the summed
+    terms in proportion to that same envelope.
+    """
+    m_hi = m_start + int(math.sqrt(_B2_TAIL_SUP / (beta**3 * tol))) + 1
+    a = np.arange(m_start, m_hi + 1, dtype=float) * beta
+    env = a**-3
+    tol_m = 0.5 * tol * env / float(np.sum(env))
+    return float(np.sum(_tilde_tail_vec(2, 3.0, a, tol_m)))
+
+
 class TestI0:
+    @pytest.mark.parametrize("x,y", [
+        (0.6, 0.2), (0.3, 0.7),                    # y/x below and above 1
+        (0.8, 0.4), (0.6, 0.4),                    # on 1/2 and 2/3
+        (0.8, 0.4 * (1 + 1e-9)), (0.35, 0.7 * (1 - 3e-12)),  # near 1/2 and 2
+    ])
+    def test_exchanged_series_matches_termwise_sum(self, x, y):
+        # the half sum is within tol and the halved oracle within tol/2
+        tol = 1e-10
+        direct = 0.5 * direct_g_series(y / x, math.floor(1.0 / y) + 1, tol)
+        assert abs(_i0_series_term(x, y, tol) - direct) <= 1.5 * tol
+
     def test_frozen_values(self):
         # frozen from the order-swapped oracle (agreement <= 5e-11 there)
         for x, y, ref in [
@@ -202,9 +243,11 @@ class TestI0:
             assert i0_eval(x, y, tol=1e-9) == pytest.approx(ref, abs=2e-9)
 
     def test_order_swapped_oracle(self):
-        for x, y in [(1.0, 0.5), (0.3, 0.77)]:
+        # at x/y = 18 and 50 the series' mixed tail runs at alpha > 1; there
+        # the oracle drops (0, 5e-4], at most x^2 (5e-4)^2/12 <= 2.1e-8
+        for x, y, eps in [(1.0, 0.5, 1e-4), (0.3, 0.77, 1e-4), (0.9, 0.05, 5e-4), (1.0, 0.02, 5e-4)]:
             assert i0_eval(x, y, tol=1e-9) == pytest.approx(
-                _i0_order_swapped(x, y), abs=5e-8)
+                _i0_order_swapped(x, y, eps), abs=5e-8)
 
     def test_small_first_argument_cubic_scaling(self):
         # |I0(x,y)| <= C x^3 / y with C = 1 (fitted constant, observed

@@ -13,6 +13,7 @@ from kernel_spectra.quadrature import (
     composite_rule,
     gauss_legendre,
     kernel_breakpoints,
+    merged_breakpoint_blocks,
     uniform_rule,
 )
 
@@ -178,3 +179,31 @@ class TestKernelBreakpoints:
         np.testing.assert_allclose(m, np.round(m), atol=1e-6)
         assert np.all(interior > cutoff)
         assert np.all(interior <= 1.0)
+
+
+class TestMergedBreakpointBlocks:
+    @given(
+        x=st.floats(min_value=0.05, max_value=1.0),
+        y=st.floats(min_value=0.05, max_value=1.0),
+        cutoff=st.floats(min_value=0.002, max_value=0.95),
+        size=st.sampled_from([4, 16, 256, 1 << 14]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_panels_are_the_union(self, x, y, cutoff, size):
+        union = np.union1d(kernel_breakpoints(x, cutoff), kernel_breakpoints(y, cutoff))
+        blocks = list(merged_breakpoint_blocks(x, y, cutoff, size))
+        panels = np.concatenate([np.stack((b[:-1], b[1:]), axis=1) for b in blocks])
+        panels = panels[np.argsort(panels[:, 0])]
+        np.testing.assert_array_equal(panels, np.stack((union[:-1], union[1:]), axis=1))
+
+    def test_blocks_stay_small(self):
+        # 4e5 points near x = y = 0.01; no block holds much more than size
+        sizes = [b.size for b in merged_breakpoint_blocks(0.01, 0.0101, 2.45e-4, 1 << 12)]
+        assert sum(sizes) - (len(sizes) - 1) == np.union1d(
+            kernel_breakpoints(0.01, 2.45e-4), kernel_breakpoints(0.0101, 2.45e-4)).size
+        assert max(sizes) <= (1 << 12) + 4
+
+    def test_rejects_bad_args(self):
+        for args in [(0.0, 0.5, 0.1), (0.5, 1.5, 0.1), (0.5, 0.5, 0.0), (0.5, 0.5, 1.0)]:
+            with pytest.raises(ValueError):
+                next(merged_breakpoint_blocks(*args))

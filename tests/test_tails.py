@@ -12,14 +12,19 @@ from hypothesis import strategies as st
 from scipy.special import polygamma
 from scipy.special import zeta as hurwitz_zeta
 
+from kernel_spectra import tails
 from kernel_spectra.bernoulli import bernoulli_tilde
 from kernel_spectra.kernel import k_eval
 from kernel_spectra.quadrature import composite_rule, kernel_breakpoints
 from kernel_spectra.tails import (
+    _B_POLY,
     _SUM_BLOCK,
     _bn_series_vec,
     _direct_sums,
+    _piece_values,
     _tail_at,
+    _tail_ladder,
+    _tilde_tail_vec,
     _window_integral,
     b2_series,
     bn_series,
@@ -85,9 +90,12 @@ class TestTildePowerTail:
             tilde_power_tail(7, 2.0, 1.0)
         with pytest.raises(ValueError, match="q > 0"):
             tilde_power_tail(1, 0.0, 2.0)
-        with pytest.raises(ValueError, match="A >= 1"):
-            tilde_power_tail(1, 2.0, math.nan)
-        for tol in (0.0, -1e-9, math.nan):
+        for A in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="A >= 1"):
+                tilde_power_tail(1, 2.0, A)
+        with pytest.raises(ValueError, match="q > 0"):
+            tilde_power_tail(2, math.inf, 3.0)
+        for tol in (0.0, -1e-9, math.nan, math.inf):
             with pytest.raises(ValueError, match="tol must be > 0"):
                 tilde_power_tail(2, 2.0, 3.0, tol)
 
@@ -105,6 +113,62 @@ class TestTildePowerTail:
             lambda t: bernoulli_tilde(n, t) * t**-3, a, b
         ) + tilde_power_tail(n, 3.0, b, tol=1e-12)
         assert whole == pytest.approx(part, abs=5e-12)
+
+
+def poly_ladder(n, q, depth=6):
+    """The by-parts ladder as it was built per q, polynomials and all: the oracle of _tail_ladder."""
+    p = _B_POLY[n]
+    terms = []
+    mult = 1.0
+    qq = float(q)
+    for _ in range(depth):
+        m = float(p.integ()(1.0))
+        if qq <= 1.0:
+            if abs(m) > 1e-14:
+                raise ValueError("divergent tail: q <= 1 with nonzero mean")
+        else:
+            terms.append((mult * m, qq))
+        h = (p - m).integ()
+        h = h - h(0.0)
+        mult *= qq
+        p = h
+        qq += 1.0
+    return tuple(terms), (mult * float(np.max(np.abs(_piece_values(p)))), qq)
+
+
+class TestTailEngine:
+    # _tilde_tail_vec integrates every window in one batch, never through the
+    # scalar tilde_power_tail, and the ladder's polynomials are cached per (n, depth)
+
+    def test_no_scalar_call(self, monkeypatch):
+        # A in [1, 3] at tight tol is where the ladder at T = max(ceil A, 2)
+        # used to miss tol/2 and fall back to the scalar routine
+        A = np.concatenate(([1.0, 2.0, 3.0], np.linspace(1.0, 3.0, 37)))
+        cases = [(n, q, tol) for n in (1, 2, 3, 4) for q in (1.0, 2.5, 3.0)
+                 for tol in (1e-8, 1e-11, 1e-14)]
+        ref = {c: [tilde_power_tail(c[0], c[1], a, c[2]) for a in A] for c in cases}
+
+        def scalar(*args):
+            raise AssertionError("_tilde_tail_vec called tilde_power_tail")
+
+        monkeypatch.setattr(tails, "tilde_power_tail", scalar)
+        for n, q, tol in cases:
+            got = _tilde_tail_vec(n, q, A, np.full(A.size, tol))
+            assert np.max(np.abs(got - ref[n, q, tol])) <= tol, (n, q, tol)
+
+    def test_blocks_do_not_change_values(self, monkeypatch):
+        # about 24,000 panels, so dozens of blocks of _SUM_BLOCK // 32, against one block
+        rng = np.random.default_rng(5)
+        A = np.concatenate((rng.uniform(1.0, 3.0, 1500), rng.uniform(3.0, 400.0, 500)))
+        tol = 10.0 ** rng.uniform(-14.0, -8.0, A.size)
+        split = _tilde_tail_vec(2, 3.0, A, tol)
+        monkeypatch.setattr(tails, "_SUM_BLOCK", 1 << 40)
+        assert np.array_equal(split, _tilde_tail_vec(2, 3.0, A, tol))
+
+    @pytest.mark.parametrize("n,q,depth", [(1, 1.0, 6), (2, 0.5, 6), (2, 1.0, 8), (3, 2.5, 6),
+                                           (4, 3.0, 6), (1, 3.7, 4), (4, 1e-3, 6), (2, 17.25, 8)])
+    def test_ladder_matches_per_q_polynomials(self, n, q, depth):
+        assert _tail_ladder(n, q, depth) == poly_ladder(n, q, depth)
 
 
 class TestPeriodicPowerTail:
@@ -289,7 +353,7 @@ class TestBnSeries:
         for beta in (math.nan, -1.0):
             with pytest.raises(ValueError, match="beta must be finite and > 0"):
                 bn_series(3, beta, 3.0, 1)
-        for tol in (0.0, math.nan):
+        for tol in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="tol must be > 0"):
                 bn_series(3, 2.5, 3.0, 1, tol)
 
@@ -311,7 +375,7 @@ class TestMixedPowerTail:
             return val, T**-2 / 24.0
 
         for A in (1.0, 1.37, 2.0, 9.3):
-            for alpha in (1.0, 0.7, 0.3125, 0.05):
+            for alpha in (1.0, 0.7, 0.3125, 0.05, 1.5, math.pi, 3.2, 10.0):
                 mine = mixed_power_tail(A, alpha, tol=1e-11)
                 ref, slack = oracle(A, alpha)
                 assert abs(mine - ref) <= slack + 2e-11, (A, alpha)
@@ -325,16 +389,19 @@ class TestMixedPowerTail:
         )
 
     def test_rejects_bad_arguments(self):
+        # alpha > 1 is in the domain; infinite or negative alpha is not
         with pytest.raises(ValueError):
             mixed_power_tail(0.5, 0.5)
-        with pytest.raises(ValueError):
-            mixed_power_tail(2.0, 1.5)
-        with pytest.raises(ValueError, match="A >= 1"):
-            mixed_power_tail(math.nan, 0.5)
-        for tol in (0.0, math.nan):
+        for alpha in (math.inf, -1.0):
+            with pytest.raises(ValueError, match="alpha in"):
+                mixed_power_tail(2.0, alpha)
+        for A in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="A >= 1"):
+                mixed_power_tail(A, 0.5)
+        for tol in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="tol must be > 0"):
                 mixed_power_tail(2.0, 0.5, tol)
-        for alpha in ([0.5, 1.5], [0.0, 0.5], [0.5, math.nan], [[0.5]]):
+        for alpha in ([0.5, math.inf], [0.0, 0.5], [0.5, math.nan], [[0.5]]):
             with pytest.raises(ValueError, match="alpha in"):
                 mixed_power_tail(2.0, np.array(alpha))
 
@@ -370,6 +437,14 @@ class TestKernelMoment:
                 lambda t: bernoulli_tilde(1, t) / t, 1.0 / x, 100000.0
             )
             assert abs(mine - w) <= 1.0 / (6.0 * 100000.0) + 1e-10, x
+
+    def test_rejects_bad_arguments(self):
+        for s in (math.inf, math.nan, -1.5):
+            with pytest.raises(ValueError, match="s >= -1"):
+                kernel_moment(0.5, s)
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol must be > 0"):
+                kernel_moment(0.5, 1.0, tol)
 
     def test_frozen_values(self):
         assert kernel_moment(0.4, 1.0, tol=1e-13) == pytest.approx(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -149,6 +150,17 @@ class TestEulerMaclaurinAction:
     def test_domain(self):
         with pytest.raises(ValueError):
             em_identity_residual(-0.5, 0.5)
+
+    def test_memory_bounded(self):
+        # 4e5 trapezoid defects at x = 0.01, s = 0, summed a block at a time
+        tracemalloc.start()
+        try:
+            resid = em_identity_residual(0.0, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert resid < 1e-9
 
 
 class TestHankelForm:
