@@ -135,13 +135,15 @@ def _row_points_between(x: float, cutoff: float, lo: float, hi: float) -> np.nda
 
 
 def merged_breakpoint_blocks(x: float, y: float, cutoff: float, size: int = 1 << 14):
-    """np.union1d(kernel_breakpoints(x, cutoff), kernel_breakpoints(y, cutoff)) in blocks.
+    """The union of kernel_breakpoints(x, cutoff) and kernel_breakpoints(y, cutoff) in blocks.
 
     Yields ascending arrays of about `size` points at most, from high z to
     low; consecutive blocks share their end point, so the panels between
     neighbours inside the blocks are exactly the panels of the union.  The
     block ends are points of the denser row, every size/2-th, so memory
-    stays bounded however many points the rows have.
+    stays bounded however many points the rows have.  Each row's points in
+    a block form one ascending run, so a stable sort merges the two runs in
+    linear time and dropping equal neighbours leaves the sorted union.
     """
     if not (0.0 < x <= 1.0 and 0.0 < y <= 1.0):
         raise ValueError(f"x and y must be in (0, 1], got {x}, {y}")
@@ -154,5 +156,8 @@ def merged_breakpoint_blocks(x: float, y: float, cutoff: float, size: int = 1 <<
     ends = 1.0 / (np.arange(m_lo + step, m_hi + 1, step, dtype=float) * x)
     ends = np.concatenate(([1.0], ends[(ends > cutoff) & (ends < 1.0)], [cutoff]))
     for hi, lo in zip(ends[:-1].tolist(), ends[1:].tolist()):
-        yield np.unique(np.concatenate(([lo, hi], _row_points_between(x, cutoff, lo, hi),
-                                        _row_points_between(y, cutoff, lo, hi))))
+        # _row_points_between yields descending z: [lo, row x, row y, hi] is two ascending runs
+        pts = np.concatenate(([lo], _row_points_between(x, cutoff, lo, hi)[::-1],
+                              _row_points_between(y, cutoff, lo, hi)[::-1], [hi]))
+        pts.sort(kind="stable")
+        yield pts[np.concatenate(([True], pts[1:] != pts[:-1]))]

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -68,3 +69,16 @@ def xcheck256(rule256, spec256):
 @pytest.fixture(scope="session")
 def handles400(spec400, rule400):
     return [eigenfunction(spec400, j, rule400) for j in range(1, 100)]
+
+
+@pytest.fixture
+def traced_peak():
+    """A call fn(*args) -> (its value, the peak bytes tracemalloc saw during it)."""
+    def run(fn, *args):
+        tracemalloc.start()
+        try:
+            value = fn(*args)
+            return value, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return run

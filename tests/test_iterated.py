@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -78,17 +77,23 @@ class TestRouteAgreement:
         assert k2_closed(0.5, 0.5, K2Evaluator(tol=1e-12)) == pytest.approx(
             0.08463721617836262, abs=1e-11)
 
-    def test_quadrature_memory_bounded(self):
-        # the rows of x = 0.01 and 0.0101 have 8e5 merged breakpoints; they
-        # are summed in blocks, so the peak stays far below 8e5 floats
-        tracemalloc.start()
-        try:
-            quad = k2_quadrature(0.01, 0.0101)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4e6
-        assert abs(quad - k2_closed(0.01, 0.0101)) <= 2.0 * K2Evaluator().tol
+    def test_tight_tol_pairs(self):
+        # at tol 1e-11 the rounding of the bulk's panel sum must stay below
+        # tol: the 1.3e5/x panels of a cutoff eps = sqrt(6 tol) were 2.5e-10
+        # off here
+        ev = K2Evaluator(tol=1e-11)
+        rng = np.random.default_rng(11)
+        for x, y in rng.uniform(0.02, 1.0, size=(16, 2)).tolist():
+            assert abs(k2_quadrature(x, y, ev) - k2_closed(x, y, ev)) <= 2.0 * ev.tol
+
+    def test_quadrature_memory_bounded(self, traced_peak):
+        # the rows of x = 0.002 and 0.00202 have 2.5e5 merged breakpoints
+        # above eps = 2^-8; they are summed in blocks, so the peak stays far
+        # below that many floats
+        for x, y in [(0.01, 0.0101), (0.002, 0.00202)]:
+            quad, peak = traced_peak(k2_quadrature, x, y)
+            assert peak < 4e6
+            assert abs(quad - k2_closed(x, y)) <= 2.0 * K2Evaluator().tol
 
 
 class TestSymmetry:

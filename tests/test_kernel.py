@@ -127,8 +127,27 @@ class TestDeltaR:
     ])
     def test_bit_identical_breakpoints(self, a, b, r, tol, cap, ref):
         # values of the former row-local breakpoint helper; the cutoff z0 is
-        # at most 1/2, so quadrature.kernel_breakpoints yields the same panels
+        # at most 1/2, so quadrature.merged_breakpoint_blocks yields the same panels
         assert delta_r(a, b, r, tol=tol, cap=cap) == ref
+
+    @pytest.mark.parametrize("a, b, r", [(0.01, 0.02, 0.0), (0.3, 0.7, 0.0), (0.05, 0.06, -0.5)])
+    def test_cap_bound_error(self, a, b, r):
+        # the default cap sets z0 = (1/a + 1/b)/cap here, so the stated bound
+        # is z0^(r+1)/(r+1), not tol/2; a 20x larger cap is itself low by at
+        # most its own bound, which the check adds
+        def bound(cap):
+            z0 = min(max((0.5e-7 * (r + 1.0)) ** (1.0 / (r + 1.0)),
+                         (1.0 / a + 1.0 / b) / cap), 0.5)
+            return z0 ** (r + 1.0) / (r + 1.0)
+
+        v = delta_r(a, b, r)
+        low = delta_r(a, b, r, cap=2_000_000) - v
+        assert 0.5e-7 < low and low + bound(2_000_000) <= bound(100_000)
+
+    def test_memory_bounded(self, traced_peak):
+        # the default cap's 1e5 merged breakpoints, summed a block at a time
+        _, peak = traced_peak(delta_r, 0.01, 0.011, 0.0)
+        assert peak < 4e6
 
     def test_nearby_rows_give_small_value(self):
         v = delta_r(1.0, 1.0 - 1e-3, 0.0)

@@ -196,6 +196,16 @@ class TestMergedBreakpointBlocks:
         panels = panels[np.argsort(panels[:, 0])]
         np.testing.assert_array_equal(panels, np.stack((union[:-1], union[1:]), axis=1))
 
+    @pytest.mark.parametrize("size", [4, 16, 256, 1 << 14])
+    @pytest.mark.parametrize("x, y", [(0.25, 0.5), (0.2, 0.3), (0.1, 0.3), (0.5, 0.5)])
+    def test_coincident_points(self, x, y, size):
+        # rational ratios put points of both rows on the same or neighbouring
+        # floats; the merge must keep each float once
+        union = np.union1d(kernel_breakpoints(x, 0.002), kernel_breakpoints(y, 0.002))
+        blocks = list(merged_breakpoint_blocks(x, y, 0.002, size))[::-1]
+        merged = np.concatenate([blocks[0][:1]] + [b[1:] for b in blocks])
+        np.testing.assert_array_equal(merged, union)
+
     def test_blocks_stay_small(self):
         # 4e5 points near x = y = 0.01; no block holds much more than size
         sizes = [b.size for b in merged_breakpoint_blocks(0.01, 0.0101, 2.45e-4, 1 << 12)]

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -151,14 +150,9 @@ class TestEulerMaclaurinAction:
         with pytest.raises(ValueError):
             em_identity_residual(-0.5, 0.5)
 
-    def test_memory_bounded(self):
+    def test_memory_bounded(self, traced_peak):
         # 4e5 trapezoid defects at x = 0.01, s = 0, summed a block at a time
-        tracemalloc.start()
-        try:
-            resid = em_identity_residual(0.0, 0.01)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        resid, peak = traced_peak(em_identity_residual, 0.0, 0.01)
         assert peak < 4e6
         assert resid < 1e-9
 
