@@ -6,12 +6,13 @@ constant times min{x,y}/max{x,y}).  Three independent evaluation routes:
 
 * quadrature: exact per-panel antiderivatives of the product of two
   staircase rows on [eps, 1], eps = 2^-8, panels split at every jump of
-  either row, plus a certified correction for the (0, eps] tail computed
-  in 1/(xz) space; the correction is exact to tol at any eps, which sets
-  only the share of the definitional bulk (see k2_quadrature);
+  either row, plus the closed form of the (0, eps] part (_k2_row at
+  eps); that correction is certified to tol at any eps, which sets only
+  the share of the definitional bulk (see k2_quadrature);
 * closed form: a four-term formula (boundary product, two tail integrals
   over [1/x, inf), and a sawtooth series) through the certified tail
-  engine, one row of columns y at a time (a scalar call is one column);
+  engine, one row of columns y at a time (a scalar call is one column),
+  _k2_row at eps = 1;
 * diagonal: a Stirling-type expression through log_factorial, valid only
   at x = y.
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernoulli import bernoulli_tilde, log_factorial
+from .bernoulli import _STIRLING_THRESHOLD, bernoulli_tilde, log_factorial
 from .kernel import k_eval
 from .quadrature import composite_rule, merged_breakpoint_blocks
 from .tails import (
@@ -80,26 +81,29 @@ def sawtooth_sum(x: float, y: float, tol: float = 1e-10) -> float:
     return b2_series(y / x, math.floor(1.0 / y) + 1, tol)
 
 
-def _k2_row(x: float, ys: np.ndarray, tol: float) -> np.ndarray:
-    """The closed form K2(x, y) within tol for one x and every y in ys, all >= x.
+def _k2_row(x: float, ys: np.ndarray, tol: float, eps: float = 1.0) -> np.ndarray:
+    """int_0^eps K(x,z) K(z,y) dz within tol for one x and every y in ys, all >= x.
 
-    One row of the iterated-kernel matrix in one pass: what depends on
-    A = 1/x alone (the pure tails, B~n(A), the window's integer cuts) is
-    computed once, the rest as arrays over the columns.  The series t4 and
-    the mixed tail's jump series are one drift-class sum per column, each
-    with its own convergent and certificate.  The t3 tail is taken once at
-    the tightest column tolerance, 2 min(ys) tol/3, which meets every
-    column's; t2, t3 and t4 take tol/3 each.
+    The four-term closed form in t = 1/(xz) from A = 1/(x eps): at eps = 1
+    K2(x, y), one row of the iterated-kernel matrix (k2_closed), below 1
+    k2_quadrature's (0, eps] correction.  What depends on A alone (the pure
+    tails, B~n(A), the window's integer cuts) is computed once, the rest as
+    arrays over the columns.  The series t4 and the mixed tail's jump
+    series are one drift-class sum per column, each with its own
+    convergent and certificate.  The t3 tail is taken once at the tightest
+    column tolerance, 2 min(ys) tol/3, which meets every column's; t2, t3
+    and t4 take tol/3 each.
     """
     ys = np.asarray(ys, dtype=float)
     if not (ys.size and 0.0 < x <= float(ys.min()) and float(ys.max()) <= 1.0):
         raise ValueError("_k2_row requires 0 < x <= y <= 1 for every y")
-    A = 1.0 / x
-    t1 = -0.5 * x * bernoulli_tilde(2, A) * bernoulli_tilde(1, 1.0 / ys)
+    A = 1.0 / (x * eps)
+    b = 1.0 / (ys * eps)
+    t1 = -0.5 * x * eps * eps * bernoulli_tilde(2, A) * bernoulli_tilde(1, b)
     t2 = mixed_power_tail(A, x / ys, tol * x / 3.0) / x
     t3 = -0.5 / ys * tilde_power_tail(2, 2.0, A, 2.0 * float(ys.min()) * tol / 3.0)
     pref = 0.5 * x / (ys * ys)
-    m_start = np.floor(1.0 / ys).astype(np.int64) + 1
+    m_start = np.floor(b).astype(np.int64) + 1
     t4 = pref * _bn_series_vec(2, ys / x, 2, m_start, tol / (3.0 * pref))
     return t1 + t2 + t3 + t4
 
@@ -155,18 +159,17 @@ def k2_quadrature(x: float, y: float, evaluator: K2Evaluator | None = None) -> f
 
     On [eps, 1] both rows are staircases in 1/z, so each merged panel has
     the exact antiderivative c1 c2 z - (c1/y + c2/x) log z - 1/(x y z).
-    The (0, eps] remainder is pushed to [tp, inf), tp = 1/(x eps), in
-    t = 1/(xz) and integrated by parts once: a boundary term plus
-    tilde_power_tail, b2_series and mixed_power_tail at tp, each certified
-    to tol/4 for any eps.  So eps only splits the work: the bulk costs
-    about 1/(x eps) + 1/(y eps) merged panels, the correction hardly
-    depends on tp.  eps is the fixed 2^-8 (1/(x 4e6) for x below 6.4e-5,
-    which bounds the panel count): the bulk still covers [1/256, 1] from
-    the definition, so the route stays a check on the tails that the
-    closed form shares.  A cutoff shrinking with tol would only add panels
-    and their rounding: at tol 1e-11, eps = sqrt(6 tol) leaves 1.3e5/x
-    panels, whose sum was up to 3.7e-9 off k2_closed on 16 seeded pairs in
-    [0.02, 1]^2.
+    The (0, eps] remainder is _k2_row at eps, the closed form from
+    1/(x eps), certified to tol for any eps.  So eps only splits the work:
+    the bulk costs about 1/(x eps) + 1/(y eps) merged panels, the
+    correction hardly depends on eps.  eps is the fixed 2^-8 (1/(x 4e6) for
+    x below 6.4e-5, which bounds the panel count): the bulk still covers
+    [1/256, 1] from the definition, and the part shared with k2_closed is
+    at most eps/4 (|K| <= 1/2; below 5e-6 on 300 seeded pairs in
+    [0.01, 1]^2), so the route stays a check on the closed form.  A cutoff
+    shrinking with tol would only add panels and their rounding: at tol
+    1e-11, eps = sqrt(6 tol) leaves 1.3e5/x panels, whose sum was up to
+    3.7e-9 off k2_closed on 16 seeded pairs in [0.02, 1]^2.
     """
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
         raise ValueError("k2_quadrature requires x, y in [0, 1]")
@@ -196,18 +199,7 @@ def k2_quadrature(x: float, y: float, evaluator: K2Evaluator | None = None) -> f
                 c1 * c2 * dz - (c1 * v + c2 * u) * np.log1p(dz / lo) + u * v * dz / (hi * lo)
             )
         )
-    alpha = x / y
-    tp = 1.0 / (x * eps)
-    sub = 0.25 * tol * x
-    corr = -0.5 * bernoulli_tilde(2, tp) * bernoulli_tilde(1, alpha * tp) * tp**-2
-    corr -= 0.5 * alpha * tilde_power_tail(2, 2.0, tp, sub)
-    corr += (
-        0.5
-        * alpha**2
-        * b2_series(y / x, math.floor(alpha * tp) + 1, 2.0 * sub / alpha**2)
-    )
-    corr += mixed_power_tail(tp, alpha, sub)
-    return bulk + corr / x
+    return bulk + float(_k2_row(x, np.array([y]), tol, eps)[0])
 
 
 def k2_diag_exact(x: float) -> float:
@@ -215,16 +207,21 @@ def k2_diag_exact(x: float) -> float:
 
     K2(x,x) = K(1,x)^2 + (2/x) [n log(1/x) - 1/x + log sqrt(2 pi / x)
     - log(n!)] with n = floor(1/x).  At x = 1 this is log(2 pi) - 7/4.
+    Past n = 256 (log_factorial's Stirling range) the bracket is
+    (n + 1/2) log1p(f/n) - f - 1/(12n) + 1/(360n^3) - 1/(1260n^5) with
+    f = 1/x - n, its n log n terms cancelled in closed form (the plain
+    bracket was 8.9e-8 off mpmath at x = 1e-4).
     """
     if not 0.0 < x <= 1.0:
         raise ValueError("k2_diag_exact requires x in (0, 1]")
     n = math.floor(1.0 / x)
-    bracket = (
-        n * math.log(1.0 / x)
-        - 1.0 / x
-        + 0.5 * math.log(2.0 * math.pi / x)
-        - log_factorial(n)
-    )
+    if n <= _STIRLING_THRESHOLD:
+        bracket = (n * math.log(1.0 / x) - 1.0 / x + 0.5 * math.log(2.0 * math.pi / x)
+                   - log_factorial(n))
+    else:
+        f, ni = 1.0 / x - n, 1.0 / n
+        bracket = ((n + 0.5) * math.log1p(f * ni) - f
+                   - ni * (1.0 / 12.0 - ni * ni * (1.0 / 360.0 - ni * ni / 1260.0)))
     return k_eval(1.0, x) ** 2 + 2.0 * bracket / x
 
 

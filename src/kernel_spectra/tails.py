@@ -3,9 +3,11 @@
 Everything downstream (iterated kernel, moments, zeta identities) reduces to
 three primitives:
 
-* pure tails int_A^inf B~n(t) t^(-q) dt: a numeric window [A, T] over
-  integer-cut panels plus an Euler-Maclaurin-style recursion at integer T
-  whose boundary terms vanish and whose remainder is certified;
+* pure tails int_A^inf B~n(t) t^(-q) dt: an Euler-Maclaurin-style
+  recursion at integer T whose boundary terms vanish and whose remainder
+  is certified, with T in closed form from tol, plus a numeric window
+  [A, T] over integer-cut panels; one batched engine (_tilde_tail_vec)
+  takes every lower limit, a scalar call being a one-entry call;
 * the sawtooth series sum_{m >= m0} B~n(m beta) m^(-s), by one path for
   every beta: along the residue classes mod q of a continued-fraction
   convergent p/q of beta the argument drifts by eps = q beta - p per step,
@@ -32,7 +34,7 @@ from scipy.special import digamma
 from scipy.special import zeta as hurwitz_zeta
 
 from .bernoulli import bernoulli_tilde
-from .quadrature import composite_rule, gauss_legendre
+from .quadrature import gauss_legendre
 
 __all__ = [
     "tilde_power_tail",
@@ -110,43 +112,29 @@ def _tail_ladder(n: int, q: float, depth: int = 6):
     return tuple(terms), (mult * sup, qq)
 
 
-def _tail_at(n: int, q: float, T: int, depth: int = 6):
-    """(value, bound) of the B~n ladder at integer T, a float or an array of them."""
-    terms, (bc, bq) = _tail_ladder(n, float(q), depth)
-    value = 0.0
-    for c, qi in terms:
-        value += c * T ** (1.0 - qi) / (qi - 1.0)
-    return value, abs(bc * T ** (1.0 - bq) / (bq - 1.0))
+# a pass of independent queries brings hundreds of one-off exponents; the
+# exponents that recur (q = 1..4) stay in a small cache
+@lru_cache(maxsize=128)
+def _ladder_poly(n: int, q: float):
+    """The ladder of _tail_ladder(n, q) as (e, d, c, p), cached, the arrays read-only.
 
-
-def _window_integral(f, a: float, b: float, order: int = 16, extra=None) -> float:
-    """Integrate f over [a, b] on panels cut at the integers (plus extras).
-
-    Panels are halved once so that no single Gauss panel spans a full unit
-    interval; with piecewise-polynomial-times-power integrands this is
-    accurate to roundoff.
+    At integer T the tail is sum_i d_i T^(e_i), e_i = 1 - q_i and
+    d_i = coef_i/(q_i - 1); the remainder is within c T^(-p), with
+    p = bound_q - 1 and c = |bound_coef|/p.
     """
-    if b <= a:
-        return 0.0
-    cuts = [a, b]
-    k0, k1 = math.floor(a) + 1, math.ceil(b) - 1
-    if k1 >= k0:
-        cuts.extend(float(k) for k in range(k0, k1 + 1))
-    if extra is not None:
-        cuts.extend(float(c) for c in extra if a < c < b)
-    cuts = np.unique(np.asarray(cuts, dtype=float))
-    mids = 0.5 * (cuts[:-1] + cuts[1:])
-    cuts = np.unique(np.concatenate((cuts, mids)))
-    rule = composite_rule(cuts, order)
-    return rule.integrate(f)
+    terms, (bc, bq) = _tail_ladder(n, q)
+    e = np.array([1.0 - qi for _, qi in terms])
+    d = np.array([c / (qi - 1.0) for c, qi in terms])
+    e.flags.writeable = d.flags.writeable = False
+    return e, d, abs(bc) / (bq - 1.0), bq - 1.0
 
 
 def tilde_power_tail(n: int, q: float, A: float, tol: float = 1e-11) -> float:
     """int_A^inf B~n(t) t^(-q) dt for A >= 1, absolute error below tol.
 
-    Numeric window [A, T] over integer-cut panels, then the certified
-    recursion at integer T, with T grown until its remainder bound fits.
-    Any q > 0 converges, B~n having zero mean.
+    Any q > 0 converges, B~n having zero mean.  A one-entry call of
+    _tilde_tail_vec, whose docstring gives the method and its certificate;
+    a tol so small that the window would pass 2^20 panels raises ValueError.
     """
     if not 1.0 <= A < math.inf:
         raise ValueError(f"tilde_power_tail requires A >= 1 and finite, got {A}")
@@ -155,63 +143,68 @@ def tilde_power_tail(n: int, q: float, A: float, tol: float = 1e-11) -> float:
     if n not in _B_POLY:
         raise ValueError(f"order must be 1..4, got {n}")
     _check_tol(tol)
-    T = max(int(math.ceil(A)), 2)
-    for _ in range(64):
-        tail, bound = _tail_at(n, q, T)
-        if bound <= 0.5 * tol:
-            break
-        T *= 2
-    else:
-        raise RuntimeError("tail bound did not converge")
-    window = _window_integral(lambda t: bernoulli_tilde(n, t) * t ** (-q), A, float(T))
-    return window + tail
+    return float(_tilde_tail_vec(n, float(q), np.array([float(A)]), np.array([float(tol)]))[0])
+
+
+# no window is longer than this many unit panels; the library's windows are
+# under a thousand (T = 707 at tol 1e-20 for n = 2, q = 1)
+_MAX_PANELS = 1 << 20
+
+
+def _halves(x, w):
+    """The rule (x, w) on [-1, 1] moved onto both halves of [0, 1]."""
+    return np.concatenate((x + 1.0, x + 3.0)) / 4.0, np.concatenate((w, w)) / 4.0
+
+
+# (s, w) by Gauss order; the windows give a panel [lo, hi] the nodes
+# lo + (hi - lo) s and the weights (hi - lo) w
+_UNIT = {k: _halves(*gauss_legendre(k)) for k in (8, 16)}
 
 
 def _tilde_tail_vec(n: int, q: float, A: np.ndarray, tol: np.ndarray) -> np.ndarray:
-    """Vectorized tilde_power_tail over many lower limits A >= 1.
+    """int_A^inf B~n(t) t^(-q) dt within tol for every lower limit A >= 1.
 
-    Each entry takes the least integer T >= max(ceil A, 2) at which the
-    ladder bound |bc| T^(1-bq)/(bq - 1) is within tol/2, in closed form
-    (plus one where the float bound still misses), and the window [A, T]
-    is cut at the integers and halved as _window_integral cuts it.  All
-    the entries' panels are integrated in one batch, Gauss-16 on each half,
-    _SUM_BLOCK // 32 panels at a time, and summed per entry.
+    Each entry takes the least integer T >= max(floor A + 1, 2) at which
+    the ladder's remainder bound c T^(-p) is within tol/2, in closed form
+    (plus one where the float bound still misses); a window [A, T] of more
+    than _MAX_PANELS unit panels raises ValueError.  The window is cut at
+    the integers; a panel [lo, k] takes _UNIT[16] (Gauss-16 on each half) and
+    B~n as the polynomial B_n at t - (k - 1), accurate to roundoff.  All
+    the entries' panels are integrated in blocks and summed per entry.
     """
     A = np.asarray(A, dtype=float)
-    tol = np.broadcast_to(np.asarray(tol, dtype=float), A.shape)
     if A.size == 0:
         return np.zeros_like(A)
-    if float(A.min()) < 1.0:
+    if A.min() < 1.0:
         raise ValueError("tilde tails require A >= 1")
-    _, (bc, bq) = _tail_ladder(n, float(q))
-    T = np.maximum(np.ceil(A), 2.0)
-    T = np.maximum(T, np.ceil((2.0 * abs(bc) / ((bq - 1.0) * tol)) ** (1.0 / (bq - 1.0))))
-    T += np.abs(bc * T ** (1.0 - bq) / (bq - 1.0)) > 0.5 * tol
-    val = _tail_at(n, q, T)[0]
+    e, d, c, p = _ladder_poly(n, float(q))
+    tol = np.asarray(tol, dtype=float)
     first = np.floor(A)
-    panels = (T - first).astype(np.int64)  # [A, first + 1], then unit panels up to T
-    for sl in _column_blocks(panels, _SUM_BLOCK // 32):  # a panel is two halves of 16 nodes
+    T = np.maximum(first + 1.0, np.ceil(np.maximum((2.0 * c / tol) ** (1.0 / p), 2.0)))
+    T += 2.0 * c * T**-p > tol
+    panels = T - first  # [A, first + 1], then unit panels up to T
+    if panels.max() > _MAX_PANELS:
+        raise ValueError(f"tol {float(np.min(tol))} needs a tail window of more than "
+                         f"{_MAX_PANELS} unit panels")
+    panels = panels.astype(np.int64)
+    coef = _B_POLY[n].coef[::-1]
+    val = np.empty(A.shape)
+    for sl in _column_blocks(panels, _SUM_BLOCK // 32):  # a panel has 32 nodes
         cnt = panels[sl]
-        ent = np.repeat(np.arange(cnt.size), cnt)
-        hi = np.arange(ent.size) + np.repeat(first[sl] + 1.0 - (np.cumsum(cnt) - cnt), cnt)
-        val[sl] += _halved_panel_sums(np.maximum(A[sl][ent], hi - 1.0), hi, ent, cnt.size, 16,
-                                      lambda t, _: bernoulli_tilde(n, t) * t ** (-q))
+        ent = np.arange(cnt.size).repeat(cnt)
+        # panel [lo, k] has k - 1 = left
+        left = np.arange(ent.size) + (first[sl] - (cnt.cumsum() - cnt)).repeat(cnt)
+        lo = np.maximum(A[sl][ent], left)
+        width = left + 1.0 - lo
+        t = lo[:, None] + width[:, None] * _UNIT[16][0]
+        f = t**-q * _UNIT[16][1]
+        t -= left[:, None]  # now t - (k - 1), in [0, 1]
+        b = coef[0]
+        for ck in coef[1:]:
+            b = b * t + ck
+        window = np.bincount(ent, weights=width * (b * f).sum(axis=1), minlength=cnt.size)
+        val[sl] = (T[sl, None] ** e * d).sum(axis=1) + window  # the ladder's tail at T
     return val
-
-
-def _halved_panel_sums(lo, hi, owner, size: int, order: int, f) -> np.ndarray:
-    """Per owner j < size, the sum over its panels [lo, hi] of f(t, owner) integrated on each half.
-
-    Both halves of every panel take the order-point Gauss rule, as
-    _window_integral halves its panels; a zero-width panel adds zero.
-    """
-    mid = 0.5 * (lo + hi)
-    lo, hi, owner = np.concatenate((lo, mid)), np.concatenate((mid, hi)), np.tile(owner, 2)
-    half = 0.5 * (hi - lo)
-    xg, wg = gauss_legendre(order)
-    t = (lo + half)[:, None] + half[:, None] * xg
-    return np.bincount(owner, weights=np.sum(f(t, owner) * (half[:, None] * wg), axis=1),
-                       minlength=size)
 
 
 # no temporary of the direct sums, the windows or one block of series columns
@@ -473,11 +466,11 @@ def bn_series(n: int, beta: float, s: int, m_start: int, tol: float = 1e-10) -> 
 
 def _column_blocks(sizes: np.ndarray, cap: int):
     """Slices of consecutive columns whose sizes sum to at most cap (or one column)."""
-    end = np.cumsum(sizes)
+    end = sizes.cumsum()
     start = 0
     while start < end.size:
         before = end[start - 1] if start else 0
-        stop = max(int(np.searchsorted(end, before + cap, side="right")), start + 1)
+        stop = max(int(end.searchsorted(before + cap, side="right")), start + 1)
         yield slice(start, stop)
         start = stop
 
@@ -486,15 +479,15 @@ def _remainder_windows(A: float, T2: float, alpha: np.ndarray, m0: np.ndarray) -
     """mixed_power_tail's R2 window over [A, T2] for every alpha_j.
 
     Each column's panels are cut at the integers and at its own jumps
-    m/alpha_j, then halved, as _window_integral cuts them; cuts that
-    coincide leave zero-width panels, which carry zero weight.
+    m/alpha_j and take _UNIT[8] (Gauss-8 on each half); cuts that coincide
+    leave zero-width panels, which carry zero weight.
     """
     k0, k1 = math.floor(A) + 1, math.ceil(T2) - 1
     base = np.concatenate(([A, T2], np.arange(k0, k1 + 1, dtype=float)))
     m_hi = np.floor(alpha * T2).astype(np.int64)
     n_jump = np.maximum(m_hi - m0 + 1, 0)
     out = np.zeros(alpha.shape)
-    # every cut adds at most two order-8 panels
+    # every cut adds a panel of 16 nodes
     for sl in _column_blocks(base.size + n_jump, _SUM_BLOCK // 16):
         al, cnt = alpha[sl], n_jump[sl]
         ncol = al.size
@@ -507,9 +500,10 @@ def _remainder_windows(A: float, T2: float, alpha: np.ndarray, m0: np.ndarray) -
         order = np.lexsort((cuts, owner))
         cuts, owner = cuts[order], owner[order]
         same = owner[1:] == owner[:-1]
-        out[sl] = _halved_panel_sums(
-            cuts[:-1][same], cuts[1:][same], owner[1:][same], ncol, 8,
-            lambda t, pc: bernoulli_tilde(4, t) * bernoulli_tilde(1, al[pc][:, None] * t) * t**-5)
+        lo, width, pc = cuts[:-1][same], np.diff(cuts)[same], owner[1:][same]
+        t = lo[:, None] + width[:, None] * _UNIT[8][0]
+        f = bernoulli_tilde(4, t) * bernoulli_tilde(1, al[pc][:, None] * t) * t**-5
+        out[sl] = np.bincount(pc, weights=width * (f * _UNIT[8][1]).sum(axis=1), minlength=ncol)
     return out
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import zeta as scipy_zeta
 
 from .bernoulli import log_factorial
-from .kernel import k_eval
+from .kernel import h_eval, k_eval
 from .quadrature import composite_rule
 from .tails import kernel_moment, tilde_power_tail
 
@@ -225,6 +225,5 @@ def hankel_apply(F, u: float, V: float = 40.0) -> float:
     # keep every panel at most 0.1 wide so Gauss-4 resolves the smooth factor
     edges.append(np.linspace(0.0, V, int(V / 0.1) + 1))
     rule = composite_rule(np.unique(np.concatenate(edges)), 4)
-    wv = u + rule.nodes
-    h = np.exp(-0.5 * wv) * k_eval(1.0, np.exp(-wv))
+    h = h_eval(u + rule.nodes)
     return float(np.dot(rule.weights, h * np.asarray(F(rule.nodes), dtype=float)))

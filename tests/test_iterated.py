@@ -1,6 +1,7 @@
 import math
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,6 +77,16 @@ class TestRouteAgreement:
         assert k2_diag_exact(0.5) == pytest.approx(0.08463721617836262, abs=1e-15)
         assert k2_closed(0.5, 0.5, K2Evaluator(tol=1e-12)) == pytest.approx(
             0.08463721617836262, abs=1e-11)
+
+    @pytest.mark.parametrize("x", [1.0 / 300.0, 2.2e-3, 1e-3, 1e-4])
+    def test_diag_exact_small_x_mpmath(self, x):
+        # past n = 256 the Stirling form; the plain bracket was 8.9e-8 off at x = 1e-4
+        with mp.workdps(50):
+            X = mp.mpf(x)
+            n = int(mp.floor(1 / X))
+            bracket = n * mp.log(1 / X) - 1 / X + mp.log(2 * mp.pi / X) / 2 - mp.loggamma(n + 1)
+            ref = (mp.mpf(1) / 2 + n - 1 / X) ** 2 + 2 * bracket / X
+        assert abs(k2_diag_exact(x) - float(ref)) <= 1e-12
 
     def test_tight_tol_pairs(self):
         # at tol 1e-11 the rounding of the bulk's panel sum must stay below

@@ -22,10 +22,8 @@ from kernel_spectra.tails import (
     _bn_series_vec,
     _direct_sums,
     _piece_values,
-    _tail_at,
     _tail_ladder,
     _tilde_tail_vec,
-    _window_integral,
     b2_series,
     bn_series,
     kernel_moment,
@@ -51,6 +49,29 @@ def fourier_remainder_bound(beta: float, M: int) -> float:
     per_k = np.minimum(1.0 / M, osc)
     head = float(np.sum(per_k / k**2))
     return (head + 1.0 / (M * k.size)) / math.pi**2
+
+
+def _window_integral(f, a: float, b: float, order: int = 16, extra=None) -> float:
+    """Integrate f over [a, b] on panels cut at the integers (plus extras), the window oracle.
+
+    Panels are halved once so that no single Gauss panel spans a full unit
+    interval; with piecewise-polynomial-times-power integrands this is
+    accurate to roundoff.  Independent of the tail engine: it runs on
+    composite_rule and bernoulli_tilde.
+    """
+    if b <= a:
+        return 0.0
+    cuts = [a, b]
+    k0, k1 = math.floor(a) + 1, math.ceil(b) - 1
+    if k1 >= k0:
+        cuts.extend(float(k) for k in range(k0, k1 + 1))
+    if extra is not None:
+        cuts.extend(float(c) for c in extra if a < c < b)
+    cuts = np.unique(np.asarray(cuts, dtype=float))
+    mids = 0.5 * (cuts[:-1] + cuts[1:])
+    cuts = np.unique(np.concatenate((cuts, mids)))
+    rule = composite_rule(cuts, order)
+    return rule.integrate(f)
 
 
 def window_oracle(n, q, A, T=3000.0):
@@ -115,6 +136,13 @@ class TestTildePowerTail:
         assert whole == pytest.approx(part, abs=5e-12)
 
 
+def _tail_at(n, q, T, depth=6):
+    """(value, bound) of the B~n ladder at integer T, summed term by term from _tail_ladder."""
+    terms, (bc, bq) = _tail_ladder(n, float(q), depth)
+    value = sum(c * T ** (1.0 - qi) / (qi - 1.0) for c, qi in terms)
+    return value, abs(bc * T ** (1.0 - bq) / (bq - 1.0))
+
+
 def poly_ladder(n, q, depth=6):
     """The by-parts ladder as it was built per q, polynomials and all: the oracle of _tail_ladder."""
     p = _B_POLY[n]
@@ -142,11 +170,19 @@ class TestTailEngine:
 
     def test_no_scalar_call(self, monkeypatch):
         # A in [1, 3] at tight tol is where the ladder at T = max(ceil A, 2)
-        # used to miss tol/2 and fall back to the scalar routine
+        # misses tol/2 and T comes from tol; the reference is the window
+        # oracle out to T = 512, far past any T the engine takes here, plus
+        # the depth-8 ladder there
         A = np.concatenate(([1.0, 2.0, 3.0], np.linspace(1.0, 3.0, 37)))
         cases = [(n, q, tol) for n in (1, 2, 3, 4) for q in (1.0, 2.5, 3.0)
                  for tol in (1e-8, 1e-11, 1e-14)]
-        ref = {c: [tilde_power_tail(c[0], c[1], a, c[2]) for a in A] for c in cases}
+        ref = {}
+        for n in (1, 2, 3, 4):
+            for q in (1.0, 2.5, 3.0):
+                tail, bound = _tail_at(n, q, 512, depth=8)
+                assert bound < 1e-17
+                ref[n, q] = [_window_integral(lambda t: bernoulli_tilde(n, t) * t ** (-q), a, 512.0)
+                             + tail for a in A]
 
         def scalar(*args):
             raise AssertionError("_tilde_tail_vec called tilde_power_tail")
@@ -154,7 +190,7 @@ class TestTailEngine:
         monkeypatch.setattr(tails, "tilde_power_tail", scalar)
         for n, q, tol in cases:
             got = _tilde_tail_vec(n, q, A, np.full(A.size, tol))
-            assert np.max(np.abs(got - ref[n, q, tol])) <= tol, (n, q, tol)
+            assert np.max(np.abs(got - ref[n, q])) <= tol, (n, q, tol)
 
     def test_blocks_do_not_change_values(self, monkeypatch):
         # about 24,000 panels, so dozens of blocks of _SUM_BLOCK // 32, against one block
@@ -164,6 +200,19 @@ class TestTailEngine:
         split = _tilde_tail_vec(2, 3.0, A, tol)
         monkeypatch.setattr(tails, "_SUM_BLOCK", 1 << 40)
         assert np.array_equal(split, _tilde_tail_vec(2, 3.0, A, tol))
+
+    @pytest.mark.parametrize("tol", [1e-60, 1e-300])
+    def test_absurd_tol_fails_by_name(self, tol, traced_peak):
+        # T would be about 3e9 at 1e-60 and 3e49 at 1e-300, past the panel
+        # budget: rejected by name before any window is built
+        def reject(fn, *args):
+            with pytest.raises(ValueError, match="tol"):
+                fn(*args)
+
+        for fn, args in ((tilde_power_tail, (2, 1.0, 1.0, tol)),
+                         (_tilde_tail_vec, (2, 1.0, np.array([1.0, 5.5]), np.array([1e-8, tol])))):
+            _, peak = traced_peak(reject, fn, *args)
+            assert peak < 1 << 16
 
     @pytest.mark.parametrize("n,q,depth", [(1, 1.0, 6), (2, 0.5, 6), (2, 1.0, 8), (3, 2.5, 6),
                                            (4, 3.0, 6), (1, 3.7, 4), (4, 1e-3, 6), (2, 17.25, 8)])
