@@ -1,8 +1,8 @@
 """Numerical spectral toolkit for the kernel 1/2 + floor(1/xy) - 1/xy.
 
-Nystrom discretization, eigenpairs ordered by modulus, the iterated
-kernel in closed form, eigenfunction calculus (derivative series, expansion
-coefficients, asymptotic residuals), and zeta-function identity checks.
+Nystrom eigenpairs ordered by modulus, the iterated kernel K2 by three
+routes and its partial integrals, certified Bernoulli tails and sawtooth
+series, and residual checks of the zeta-function identities.
 """
 
 from .bernoulli import bernoulli_tilde, frac, log_factorial

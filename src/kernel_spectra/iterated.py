@@ -19,8 +19,9 @@ constant times min{x,y}/max{x,y}).  Three independent evaluation routes:
 Route agreement is the main correctness argument; the tests compare all
 three against each other and against frozen adaptive-quadrature values.
 
-Also here: the partial integrals int_0^x K2(z,y) dz and
-int_x^y K2(z,w) dz/z^2 used by the eigenfunction asymptotics.
+Also here: the partial integrals int_0^x K2(z,y) dz (i0_eval) and
+int_x^y K2(z,w) dz/z^2 (i_eval), by termwise antiderivatives of the closed
+form.
 """
 
 from __future__ import annotations
@@ -30,24 +31,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernoulli import _STIRLING_THRESHOLD, bernoulli_tilde, log_factorial
+from .bernoulli import bernoulli_tilde, log_factorial
 from .kernel import k_eval
 from .quadrature import composite_rule, merged_breakpoint_blocks
-from .tails import (
-    _bn_series_vec,
-    _direct_sums,
-    _tilde_tail_vec,
-    b2_series,
-    mixed_power_tail,
-    tilde_power_tail,
-)
+from .tails import _bn_series_vec, _tilde_tail_vec, mixed_power_tail, tilde_power_tail
 
 __all__ = [
     "K2Evaluator",
     "k2_quadrature",
     "k2_closed",
     "k2_diag_exact",
-    "sawtooth_sum",
     "i0_eval",
     "i_eval",
     "OFF_DIAGONAL_BOUND",
@@ -72,13 +65,6 @@ class K2Evaluator:
 
 
 _DEFAULT = K2Evaluator()
-
-
-def sawtooth_sum(x: float, y: float, tol: float = 1e-10) -> float:
-    """The bare series sum_{m > 1/y} B~2(m y/x) m^(-2) from the closed form."""
-    if not (0.0 < x <= 1.0 and 0.0 < y <= 1.0):
-        raise ValueError("sawtooth_sum requires x, y in (0, 1]")
-    return b2_series(y / x, math.floor(1.0 / y) + 1, tol)
 
 
 def _k2_row(x: float, ys: np.ndarray, tol: float, eps: float = 1.0) -> np.ndarray:
@@ -106,39 +92,6 @@ def _k2_row(x: float, ys: np.ndarray, tol: float, eps: float = 1.0) -> np.ndarra
     m_start = np.floor(b).astype(np.int64) + 1
     t4 = pref * _bn_series_vec(2, ys / x, 2, m_start, tol / (3.0 * pref))
     return t1 + t2 + t3 + t4
-
-
-def _closed_literal(x: float, y: float, tol: float) -> float:
-    """The closed form with plain truncations in place of certified tails.
-
-    The series stops at M = ceil(1/(6 tol)) (tail <= 1/(6 M)), the integrals
-    at T = 1e4 (tail <= 1/(24 T^2) = 4.2e-10).  Kept as an independent oracle
-    for k2_closed, which
-    tests/test_iterated.py::TestRouteAgreement::test_literal_route_agrees
-    compares with it.
-    """
-    A = 1.0 / x
-    beta = y / x
-    T = 1e4
-    if A >= T:
-        raise ValueError("the literal route needs 1/x below its truncation T = 1e4")
-    base = np.arange(math.ceil(A), T + 0.5)
-    # the second row's factor jumps where x t / y = t / beta is an integer
-    jumps = beta * np.arange(math.ceil(A / beta), math.floor(T / beta) + 1.0)
-    cuts = np.unique(np.concatenate(([A, T], base, jumps)))
-    cuts = cuts[(cuts >= A) & (cuts <= T)]
-    rule = composite_rule(cuts, 8)
-    i1 = rule.integrate(
-        lambda t: bernoulli_tilde(2, t) * bernoulli_tilde(1, t / beta) * t**-3
-    )
-    rule2 = composite_rule(np.unique(np.concatenate(([A, T], base))), 8)
-    # B~2 has zero mean, so plain truncation at T leaves under T^-2/(36 sqrt 3)
-    i2 = rule2.integrate(lambda t: bernoulli_tilde(2, t) * t**-2)
-    m0 = math.floor(1.0 / y) + 1
-    m_series = math.ceil(1.0 / (6.0 * tol))
-    series = float(_direct_sums(2, 2.0, beta, m0, m_series + math.ceil(1.0 / y))[0])
-    t1 = -0.5 * x * bernoulli_tilde(2, A) * bernoulli_tilde(1, 1.0 / y)
-    return t1 + i1 / x - 0.5 * i2 / y + 0.5 * x / (y * y) * series
 
 
 def k2_closed(x: float, y: float, evaluator: K2Evaluator | None = None) -> float:
@@ -207,15 +160,17 @@ def k2_diag_exact(x: float) -> float:
 
     K2(x,x) = K(1,x)^2 + (2/x) [n log(1/x) - 1/x + log sqrt(2 pi / x)
     - log(n!)] with n = floor(1/x).  At x = 1 this is log(2 pi) - 7/4.
-    Past n = 256 (log_factorial's Stirling range) the bracket is
-    (n + 1/2) log1p(f/n) - f - 1/(12n) + 1/(360n^3) - 1/(1260n^5) with
-    f = 1/x - n, its n log n terms cancelled in closed form (the plain
-    bracket was 8.9e-8 off mpmath at x = 1e-4).
+    From n = 33 on the bracket is (n + 1/2) log1p(f/n) - f - 1/(12n)
+    + 1/(360n^3) - 1/(1260n^5) with f = 1/x - n, its n log n terms
+    cancelled in closed form; the next Stirling term adds 1/(840 n^6) after
+    the 2/x factor.  Against mpmath at 50 digits this form is within
+    9.5e-13 from n = 33 on and the plain bracket within 1.5e-12 below; past
+    n = 32 the plain bracket is up to 4.3e-10 off (n = 256), 8.9e-8 at x = 1e-4.
     """
     if not 0.0 < x <= 1.0:
         raise ValueError("k2_diag_exact requires x in (0, 1]")
     n = math.floor(1.0 / x)
-    if n <= _STIRLING_THRESHOLD:
+    if n <= 32:
         bracket = (n * math.log(1.0 / x) - 1.0 / x + 0.5 * math.log(2.0 * math.pi / x)
                    - log_factorial(n))
     else:
@@ -231,16 +186,24 @@ def k2_diag_exact(x: float) -> float:
 _B2_TAIL_SUP = 1.0 / (18.0 * math.sqrt(3.0))
 
 
-def _w21(a: float, b: float, tol: float) -> float:
-    """int_a^b B2~(t) t^-1 dt as a difference of certified tails.
+def _w21(a, b, tol) -> np.ndarray:
+    """int_a^b B2~(t) t^-1 dt within tol for every pair (a, b), a difference of certified tails.
 
-    The infinite t^-1 tails converge because B2~ has zero mean.
+    The infinite t^-1 tails converge because B2~ has zero mean; each takes tol/2.
     """
-    return tilde_power_tail(2, 1, a, 0.5 * tol) - tilde_power_tail(2, 1, b, 0.5 * tol)
+    half = 0.5 * np.asarray(tol, dtype=float)
+    return (_tilde_tail_vec(2, 1.0, np.atleast_1d(a), half)
+            - _tilde_tail_vec(2, 1.0, np.atleast_1d(b), half))
 
 
-def _u_cuts(u_hi: float, steps: tuple[float, ...]) -> np.ndarray:
-    """Panel boundaries on [1, u_hi]: every multiple of every step inside."""
+def _u_integral(f, u_hi: float, steps: tuple[float, ...]) -> float:
+    """int_1^u_hi f(u) du by Gauss order 12 on panels cut at every multiple of every step.
+
+    f is smooth between those cuts (the mixed terms' factors jump or kink
+    at multiples of the steps), so each panel is resolved; 0 if u_hi <= 1.
+    """
+    if u_hi <= 1.0:
+        return 0.0
     pts = [np.array([1.0, u_hi])]
     for s in steps:
         j_lo = math.floor(1.0 / s) + 1
@@ -248,7 +211,7 @@ def _u_cuts(u_hi: float, steps: tuple[float, ...]) -> np.ndarray:
         if j_hi >= j_lo:
             pts.append(np.arange(j_lo, j_hi + 1, dtype=float) * s)
     cuts = np.concatenate(pts)
-    return np.unique(cuts[(cuts >= 1.0) & (cuts <= u_hi)])
+    return composite_rule(np.unique(cuts[(cuts >= 1.0) & (cuts <= u_hi)]), 12).integrate(f)
 
 
 def i0_eval(x: float, y: float, tol: float = 1e-8) -> float:
@@ -318,17 +281,15 @@ def _i0_mixed_term(x: float, y: float, tol: float) -> float:
 
     |G(u/x)| <= _B2_TAIL_SUP (x/u)^3 caps the tail beyond u_hi at
     _B2_TAIL_SUP x^3/(6 u_hi^3).  B1~ jumps at multiples of y and G has
-    second-derivative kinks at multiples of x, so both families are panel
-    boundaries; panels are smooth inside and Gauss order 12 resolves them.
+    second-derivative kinks at multiples of x.
     """
     u_hi = (x**3 * _B2_TAIL_SUP / (3.0 * tol)) ** (1.0 / 3.0)
-    if u_hi <= 1.0:
-        return 0.0
     per_node = 0.5 * tol / math.log(max(u_hi, math.e))
-    rule = composite_rule(_u_cuts(u_hi, (y, x)), 12)
-    g = _tilde_tail_vec(2, 3.0, rule.nodes / x, np.full_like(rule.nodes, per_node))
-    vals = bernoulli_tilde(1, rule.nodes / y) / rule.nodes * g
-    return float(np.dot(rule.weights, vals))
+
+    def f(u):
+        return bernoulli_tilde(1, u / y) / u * _tilde_tail_vec(2, 3.0, u / x, per_node)
+
+    return _u_integral(f, u_hi, (y, x))
 
 
 def i_eval(x: float, y: float, w: float, tol: float = 1e-8) -> float:
@@ -355,7 +316,7 @@ def i_eval(x: float, y: float, w: float, tol: float = 1e-8) -> float:
     a, b = 1.0 / y, 1.0 / x
     b1 = bernoulli_tilde(1, 1.0 / w)
     c_w = 0.5 * abs(b1) + 0.5 / w  # W(1/y, 1/x) enters the boundary and H terms
-    w_ab = _w21(a, b, 0.25 * tol / c_w)
+    w_ab = float(_w21(a, b, 0.25 * tol / c_w)[0])
     h_a = tilde_power_tail(2, 2, a, 0.125 * tol * w / a)
     h_b = tilde_power_tail(2, 2, b, 0.125 * tol * w / b)
     t_boundary = -0.5 * b1 * w_ab
@@ -373,21 +334,14 @@ def _i_series_term(x: float, y: float, w: float, tol: float) -> float:
     m = np.arange(m_start, m_hi + 1, dtype=float)
     env = m**-3
     tol_m = 0.5 * w**2 * tol * env / float(np.sum(env))  # * m^2 weight later
-    w21 = _tilde_tail_vec(2, 1.0, m * (w / y), 0.5 * tol_m) - _tilde_tail_vec(
-        2, 1.0, m * (w / x), 0.5 * tol_m
-    )
-    return float(np.dot(w21, m**-2)) / (2.0 * w**2)
+    return float(np.dot(_w21(m * (w / y), m * (w / x), tol_m), m**-2)) / (2.0 * w**2)
 
 
 def _i_mixed_term(x: float, y: float, w: float, tol: float) -> float:
     """int_1^inf B1~(u/w) u^-3 W(u/y, u/x) du, certified to tol."""
     u_hi = (_B2_TAIL_SUP * (x + y) / (6.0 * tol)) ** (1.0 / 3.0)
-    if u_hi <= 1.0:
-        return 0.0
-    rule = composite_rule(_u_cuts(u_hi, (w, x, y)), 12)
-    per_node = np.full_like(rule.nodes, tol)  # weight integrates to <= 1/4
-    w21 = _tilde_tail_vec(2, 1.0, rule.nodes / y, per_node) - _tilde_tail_vec(
-        2, 1.0, rule.nodes / x, per_node
-    )
-    vals = bernoulli_tilde(1, rule.nodes / w) / rule.nodes**3 * w21
-    return float(np.dot(rule.weights, vals))
+
+    def f(u):  # each W within 2 tol, and the weight integrates to <= 1/4
+        return bernoulli_tilde(1, u / w) / u**3 * _w21(u / y, u / x, 2.0 * tol)
+
+    return _u_integral(f, u_hi, (w, x, y))

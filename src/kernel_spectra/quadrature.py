@@ -107,21 +107,8 @@ def kernel_breakpoints(x: float, cutoff: float) -> np.ndarray:
         raise ValueError(f"x must be in (0, 1], got {x}")
     if not 0.0 < cutoff < 1.0:
         raise ValueError(f"cutoff must be in (0, 1), got {cutoff}")
-    m_lo = math.ceil(1.0 / x)          # smallest m with 1/(m x) <= 1
-    m_hi = math.ceil(1.0 / (x * cutoff)) - 1   # largest m with 1/(m x) > cutoff
-    if m_hi >= m_lo:
-        m = np.arange(m_lo, m_hi + 1, dtype=float)
-        z = 1.0 / (m * x)
-        z = z[(z > cutoff) & (z <= 1.0)]  # guard float edges of the ceil arithmetic
-    else:
-        z = np.empty(0)
-    # 1/(m x) falls strictly with m (adjacent values differ by a factor
-    # 1 + 1/m, far above rounding), so reversed z is sorted and unique, and
-    # only its last point can repeat an end
-    z = z[::-1]
-    if z.size and z[-1] == 1.0:
-        z = z[:-1]
-    return np.concatenate(([cutoff], z, [1.0]))
+    # 1/(m x) falls strictly with m, so the reversed points ascend
+    return np.concatenate(([cutoff], _row_points_between(x, cutoff, cutoff, 1.0)[::-1], [1.0]))
 
 
 def _row_points_between(x: float, cutoff: float, lo: float, hi: float) -> np.ndarray:

@@ -139,17 +139,9 @@ class Spectrum:
         without claiming exact degeneracy of the discretized values.
         Returned indices are 1-based like j elsewhere.
         """
-        lam = self.eigenvalues
-        groups: list[list[int]] = []
-        for j in range(1, lam.size + 1):
-            if groups:
-                prev = lam[groups[-1][-1] - 1]
-                cur = lam[j - 1]
-                if abs(cur - prev) <= rel_tol * max(abs(cur), abs(prev)):
-                    groups[-1].append(j)
-                    continue
-            groups.append([j])
-        return groups
+        run = _tie_runs(self.eigenvalues, rel_tol)
+        groups = np.split(np.arange(1, run.size + 1), np.flatnonzero(np.diff(run)) + 1)
+        return [g.tolist() for g in groups if g.size]
 
 
 # moduli within this relative distance count as equal for the tie-break;
@@ -157,21 +149,21 @@ class Spectrum:
 _TIE_REL = 1e-12
 
 
+def _tie_runs(v: np.ndarray, rel: float) -> np.ndarray:
+    """Run ids of v: a neighbour within rel times the larger modulus of the two joins the run.
+
+    A run can chain: its ends may lie farther apart than rel.
+    """
+    joined = np.abs(np.diff(v)) <= rel * np.maximum(np.abs(v[1:]), np.abs(v[:-1]))
+    return np.concatenate(([0], np.cumsum(~joined)))[: v.size]
+
+
 def _modulus_order(lam: np.ndarray) -> np.ndarray:
     """Sort indices by |lambda| ascending, positive before negative on ties."""
     order = np.argsort(np.abs(lam), kind="stable")
-    mods = np.abs(lam[order])
-    i = 0
-    while i < order.size:
-        j = i + 1
-        while j < order.size and mods[j] - mods[j - 1] <= _TIE_REL * mods[j]:
-            j += 1
-        if j - i > 1:
-            run = order[i:j]
-            run_lam = lam[run]
-            order[i:j] = run[np.lexsort((np.abs(run_lam), np.signbit(run_lam)))]
-        i = j
-    return order
+    sorted_lam = lam[order]
+    mods = np.abs(sorted_lam)
+    return order[np.lexsort((mods, np.signbit(sorted_lam), _tie_runs(mods, _TIE_REL)))]
 
 
 def eigensolve(op: DiscretizedOperator, tol: float = 1e-11) -> Spectrum:

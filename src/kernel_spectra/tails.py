@@ -207,38 +207,9 @@ def _tilde_tail_vec(n: int, q: float, A: np.ndarray, tol: np.ndarray) -> np.ndar
     return val
 
 
-# no temporary of the direct sums, the windows or one block of series columns
-# holds much more than this many entries
+# no temporary of the windows or of one block of series columns holds much
+# more than this many entries
 _SUM_BLOCK = 1 << 14
-
-
-def _direct_sums(n: int, s: float, beta, m_lo, m_hi) -> np.ndarray:
-    """sum_{m = m_lo[j]}^{m_hi[j]} B~n(m beta[j]) m^(-s) for every j, term by term.
-
-    Not used by the series engine: it is the engine of the literal oracle
-    iterated._closed_literal and of the direct-sum oracles in the tests.
-    The segments are laid end to end and summed _SUM_BLOCK terms at a time,
-    so memory stays bounded however long one segment is.
-    """
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    m_lo = np.atleast_1d(np.asarray(m_lo, dtype=np.int64))
-    m_hi = np.atleast_1d(np.asarray(m_hi, dtype=np.int64))
-    length = np.maximum(m_hi - m_lo + 1, 0)
-    end = np.cumsum(length)
-    start = end - length
-    out = np.zeros(beta.shape)
-    total = int(end[-1]) if end.size else 0
-    for b0 in range(0, total, _SUM_BLOCK):
-        b1 = min(b0 + _SUM_BLOCK, total)
-        seg = np.arange(np.searchsorted(end, b0, side="right"),
-                        np.searchsorted(start, b1, side="left"))
-        lo = np.maximum(start[seg], b0)
-        cnt = np.minimum(end[seg], b1) - lo
-        seg, lo, cnt = seg[cnt > 0], lo[cnt > 0], cnt[cnt > 0]
-        m = (np.arange(b0, b1) + np.repeat(m_lo[seg] - start[seg], cnt)).astype(float)
-        vals = bernoulli_tilde(n, m * np.repeat(beta[seg], cnt)) * m ** (-s)
-        out[seg] += np.add.reduceat(vals, lo - b0)
-    return out
 
 
 # The sawtooth series runs over many columns at once, one row of the
@@ -249,7 +220,7 @@ def _direct_sums(n: int, s: float, beta, m_lo, m_hi) -> np.ndarray:
 # convergent denominators are taken up to this
 _Q_MAX = 16384
 # a point carries rows of n + 1 coefficients, so a block of points holds
-# about as many entries as a block of direct-sum terms
+# about _SUM_BLOCK entries
 _POINT_BLOCK = _SUM_BLOCK // 4
 # share of tol given to the tail certificate; the rest covers rounding
 _TAIL_SHARE = 0.5

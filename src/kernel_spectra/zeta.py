@@ -141,12 +141,19 @@ def laplace_h_residual(s: float, tol: float = 1e-10) -> float:
     return abs(lhs - rhs)
 
 
-def _power_panel_integral(s: float, x: float, a: float, b: float) -> float:
-    # int_a^b (nu x)^(-s-1)/(s+1) d nu in closed form
+def _power_panel_integral(s: float, x: float, a, b):
+    """int_a^b (nu x)^(-s-1)/(s+1) d nu in closed form, vectorised over the panels [a, b].
+
+    Written a^-s (1 - e^(-s L))/s with L = log(b/a), through expm1: the
+    plain (a^-s - b^-s)/s cancels for small s > 0 (em_identity_residual at
+    x = 0.0908, s = 1e-9 would be 1.4e-7 off instead of 5.3e-11).  At
+    s == 0 it is the limit L.
+    """
     c = x ** (-s - 1.0) / (s + 1.0)
+    L = np.log(b / a)
     if s == 0.0:
-        return c * math.log(b / a)
-    return c * (a ** (-s) - b ** (-s)) / s
+        return c * L
+    return c * a ** (-s) * -np.expm1(-s * L) / s
 
 
 # em_identity_residual sums its trapezoid defects this many at a time, so its
@@ -179,19 +186,14 @@ def em_identity_residual(s: float, x: float, tol: float = 1e-10) -> float:
     n0 = math.floor(1.0 / x) + 1
     # |sum_{n>M} trapezoid defects| <= |G'(M)|/12 with G'(nu) = -x^(-s-1) nu^(-s-2)
     m_cap = max(n0 + 16, math.ceil((x ** (-s - 1.0) / (6.0 * tol)) ** (1.0 / (s + 2.0))))
-    panel = x ** (-s - 1.0) / (s + 1.0)
     defects = 0.0
     # m_cap reaches 4e5 near x = 0.01, s = 0; the defects are summed a block at a time
     for b0 in range(n0, m_cap + 1, _DEFECT_BLOCK):
         n = np.arange(b0, min(b0 + _DEFECT_BLOCK, m_cap + 1), dtype=float)
-        if s == 0.0:
-            panel_ints = panel * np.log((n + 1.0) / n)
-        else:
-            panel_ints = panel * (n ** (-s) - (n + 1.0) ** (-s)) / s
-        defects += float(np.sum(0.5 * (g(n) + g(n + 1.0)) - panel_ints))
+        defects += float(np.sum(0.5 * (g(n) + g(n + 1.0)) - _power_panel_integral(s, x, n, n + 1.0)))
     series_minus_integral = (
         0.5 * g(float(n0))
-        - _power_panel_integral(s, x, 1.0 / x, float(n0))
+        - float(_power_panel_integral(s, x, 1.0 / x, float(n0)))
         + defects
     )
     rhs = series_minus_integral + (1.0 / (s + 1.0)) * float(k_eval(1.0, x))

@@ -13,7 +13,6 @@ from kernel_spectra.iterated import (
     OFF_DIAGONAL_BOUND,
     _B2_TAIL_SUP,
     K2Evaluator,
-    _closed_literal,
     _i0_series_term,
     _k2_row,
     i0_eval,
@@ -21,13 +20,48 @@ from kernel_spectra.iterated import (
     k2_closed,
     k2_diag_exact,
     k2_quadrature,
-    sawtooth_sum,
 )
 from kernel_spectra.kernel import k_eval
 from kernel_spectra.quadrature import composite_rule, uniform_rule
-from kernel_spectra.tails import _tilde_tail_vec, tilde_power_tail
+from kernel_spectra.tails import _tilde_tail_vec, b2_series, tilde_power_tail
 
 LOG_2PI_MINUS_74 = math.log(2.0 * math.pi) - 1.75
+
+
+def _closed_literal(x: float, y: float, tol: float) -> float:
+    """The closed form with plain truncations in place of certified tails.
+
+    The series stops at M = ceil(1/(6 tol)) (tail <= 1/(6 M)) and is summed
+    term by term, a block at a time; the integrals stop at T = 1e4 (tail
+    <= 1/(24 T^2) = 4.2e-10).  The independent oracle of k2_closed in
+    TestCornerValue::test_literal_truncations and
+    TestRouteAgreement::test_literal_route_agrees.
+    """
+    A = 1.0 / x
+    beta = y / x
+    T = 1e4
+    if A >= T:
+        raise ValueError("the literal route needs 1/x below its truncation T = 1e4")
+    base = np.arange(math.ceil(A), T + 0.5)
+    # the second row's factor jumps where x t / y = t / beta is an integer
+    jumps = beta * np.arange(math.ceil(A / beta), math.floor(T / beta) + 1.0)
+    cuts = np.unique(np.concatenate(([A, T], base, jumps)))
+    cuts = cuts[(cuts >= A) & (cuts <= T)]
+    rule = composite_rule(cuts, 8)
+    i1 = rule.integrate(
+        lambda t: bernoulli_tilde(2, t) * bernoulli_tilde(1, t / beta) * t**-3
+    )
+    rule2 = composite_rule(np.unique(np.concatenate(([A, T], base))), 8)
+    # B~2 has zero mean, so plain truncation at T leaves under T^-2/(36 sqrt 3)
+    i2 = rule2.integrate(lambda t: bernoulli_tilde(2, t) * t**-2)
+    m0 = math.floor(1.0 / y) + 1
+    m_hi = m0 + math.ceil(1.0 / (6.0 * tol))
+    series = 0.0
+    for b0 in range(m0, m_hi + 1, 1 << 16):
+        m = np.arange(b0, min(b0 + (1 << 16), m_hi + 1), dtype=float)
+        series += float(np.dot(bernoulli_tilde(2, m * beta), m**-2))
+    t1 = -0.5 * x * bernoulli_tilde(2, A) * bernoulli_tilde(1, 1.0 / y)
+    return t1 + i1 / x - 0.5 * i2 / y + 0.5 * x / (y * y) * series
 
 
 class TestCornerValue:
@@ -78,15 +112,18 @@ class TestRouteAgreement:
         assert k2_closed(0.5, 0.5, K2Evaluator(tol=1e-12)) == pytest.approx(
             0.08463721617836262, abs=1e-11)
 
-    @pytest.mark.parametrize("x", [1.0 / 300.0, 2.2e-3, 1e-3, 1e-4])
+    @pytest.mark.parametrize("x", [1.0 / 300.0, 2.2e-3, 1e-3, 1e-4] + [
+        1.0 / (n + f) for n in (10, 32, 33, 100, 256) for f in (0.1, 0.5, 0.9)])
     def test_diag_exact_small_x_mpmath(self, x):
-        # past n = 256 the Stirling form; the plain bracket was 8.9e-8 off at x = 1e-4
+        # the Stirling form from n = 33 on, where the plain bracket is up to
+        # 2.1e-12 off (n = 33), 4.3e-10 (n = 256) and 8.9e-8 (x = 1e-4):
+        # within 1e-12 past n = 256 and 2e-12 from n = 10
         with mp.workdps(50):
             X = mp.mpf(x)
             n = int(mp.floor(1 / X))
             bracket = n * mp.log(1 / X) - 1 / X + mp.log(2 * mp.pi / X) / 2 - mp.loggamma(n + 1)
             ref = (mp.mpf(1) / 2 + n - 1 / X) ** 2 + 2 * bracket / X
-        assert abs(k2_diag_exact(x) - float(ref)) <= 1e-12
+        assert abs(k2_diag_exact(x) - float(ref)) <= (1e-12 if n > 256 else 2e-12)
 
     def test_tight_tol_pairs(self):
         # at tol 1e-11 the rounding of the bulk's panel sum must stay below
@@ -153,10 +190,11 @@ class TestOriginDiscontinuity:
 
 class TestSawtoothSum:
     def test_integer_ratio_closed_form(self):
-        # beta = 1: every term is B2(0)/m^2 = (1/6) m^-2
+        # the closed form's series at x = y = 1 and x = y = 1/2: beta = 1, so
+        # every term is B2(0)/m^2 = (1/6) m^-2, from m = floor(1/y) + 1
         zeta2 = math.pi**2 / 6.0
-        assert sawtooth_sum(1.0, 1.0) == pytest.approx((zeta2 - 1.0) / 6.0, abs=1e-12)
-        assert sawtooth_sum(0.5, 0.5) == pytest.approx(
+        assert b2_series(1.0, 2) == pytest.approx((zeta2 - 1.0) / 6.0, abs=1e-12)
+        assert b2_series(1.0, 3) == pytest.approx(
             (zeta2 - 1.0 - 0.25) / 6.0, abs=1e-12)
 
     def test_series_integral_bound(self):
@@ -166,12 +204,9 @@ class TestSawtoothSum:
             cuts = np.unique(np.clip(np.concatenate(([x, 1.0], 1.0 / ms)), x, 1.0))
             rule = composite_rule(cuts, 8)
             vals = np.array(
-                [abs(sawtooth_sum(x, float(y), 1e-9)) / y**2 for y in rule.nodes])
+                [abs(b2_series(y / x, math.floor(1.0 / y) + 1, 1e-9)) / y**2
+                 for y in rule.nodes])
             assert float(np.dot(rule.weights, vals)) < 2.0 / 3.0
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            sawtooth_sum(0.0, 0.5)
 
 
 class TestMixedMoment:

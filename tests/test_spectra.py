@@ -12,6 +12,7 @@ from kernel_spectra.spectra import (
     DiscretizedOperator,
     Spectrum,
     _gated_eigh,
+    _modulus_order,
     assemble,
     cross_validate_k2,
     eigenfunction,
@@ -144,6 +145,66 @@ class TestMultiplicityGroups:
         )
         assert s.multiplicity_groups(rel_tol=1e-6) == [[1, 2], [3], [4]]
         assert s.multiplicity_groups(rel_tol=1e-12) == [[1], [2], [3], [4]]
+
+    def test_chained_runs(self):
+        # each value within 1e-6 of the next, the ends of a run 2.4e-6 apart;
+        # +2 and -2 differ by 4 and stay apart
+        lam = np.array([1.0, 1.0 + 0.8e-6, 1.0 + 1.6e-6, 1.0 + 2.4e-6,
+                        2.0, -2.0, -2.0 * (1 + 0.9e-6), -2.0 * (1 + 1.8e-6), 3.0])
+        s = Spectrum(eigenvalues=lam, matrix_eigenvalues=1.0 / lam, vectors=np.eye(lam.size))
+        assert s.multiplicity_groups(rel_tol=1e-6) == [[1, 2, 3, 4], [5], [6, 7, 8], [9]]
+
+
+def loop_modulus_order(lam, rel=1e-12):
+    """The run-by-run loop form of _modulus_order, its reference in TestModulusOrder."""
+    order = np.argsort(np.abs(lam), kind="stable")
+    mods = np.abs(lam[order])
+    i = 0
+    while i < order.size:
+        j = i + 1
+        while j < order.size and mods[j] - mods[j - 1] <= rel * mods[j]:
+            j += 1
+        run = order[i:j]
+        order[i:j] = run[np.lexsort((np.abs(lam[run]), np.signbit(lam[run])))]
+        i = j
+    return order
+
+
+def loop_groups(lam, rel_tol):
+    """The loop form of Spectrum.multiplicity_groups, its reference in TestModulusOrder."""
+    groups = []
+    for j in range(1, lam.size + 1):
+        prev, cur = lam[j - 2], lam[j - 1]
+        if groups and abs(cur - prev) <= rel_tol * max(abs(cur), abs(prev)):
+            groups[-1].append(j)
+        else:
+            groups.append([j])
+    return groups
+
+
+class TestModulusOrder:
+    def test_matches_loop_reference(self):
+        # random sets of near-ties, chained or not, with mixed signs
+        rng = np.random.default_rng(20)
+        for _ in range(2000):
+            n = int(rng.integers(0, 12))
+            base = rng.choice(rng.uniform(0.5, 2.0, 4), n)
+            rel = rng.choice([0.0, 4e-13, 1e-12, 3e-12, 1e-6], n) * rng.integers(-3, 4, n)
+            lam = base * (1.0 + rel) * rng.choice([-1.0, 1.0], n)
+            assert _modulus_order(lam).tolist() == loop_modulus_order(lam).tolist()
+            s = Spectrum(eigenvalues=lam, matrix_eigenvalues=lam, vectors=np.eye(n))
+            for rel_tol in (1e-12, 1e-6):
+                assert s.multiplicity_groups(rel_tol) == loop_groups(lam, rel_tol)
+
+    def test_chained_tie_runs(self):
+        # moduli within 1e-12 of the next, farther apart end to end: a whole
+        # chain is one tie run, positives first, each sign by modulus
+        want = [3.0, 3.0 * (1 + 1.6e-12), -3.0 * (1 + 0.8e-12), -3.0 * (1 + 2.4e-12),
+                4.0, -4.0,
+                7.0 * (1 + 0.9e-12), -7.0, -7.0 * (1 + 1.8e-12),
+                -7.0 * (1 + 4e-12)]
+        lam = np.random.default_rng(12).permutation(np.array(want))
+        assert lam[_modulus_order(lam)].tolist() == want
 
 
 class TestEigenfunction:

@@ -18,9 +18,7 @@ from kernel_spectra.kernel import k_eval
 from kernel_spectra.quadrature import composite_rule, kernel_breakpoints
 from kernel_spectra.tails import (
     _B_POLY,
-    _SUM_BLOCK,
     _bn_series_vec,
-    _direct_sums,
     _piece_values,
     _tail_ladder,
     _tilde_tail_vec,
@@ -314,18 +312,6 @@ class TestRemainderBound:
 
 
 class TestBatchedSeries:
-    def test_direct_sums_match_plain_dot(self):
-        # ragged segments, one longer than a block, one empty, one of a term
-        lo = np.array([1, 5, 2048, 9, 3])
-        hi = np.array([4096, 3 * _SUM_BLOCK + 17, 70_000, 8, 3])
-        beta = np.array([math.pi, 3.2, math.sqrt(2.0), 1.5, 0.77])
-        for n, s in ((2, 2.0), (3, 3.0), (4, 4.0)):
-            got = _direct_sums(n, s, beta, lo, hi)
-            for j in range(beta.size):
-                m = np.arange(lo[j], hi[j] + 1, dtype=float)
-                ref = float(np.dot(bernoulli_tilde(n, m * beta[j]), m**-s))
-                assert got[j] == pytest.approx(ref, rel=1e-13, abs=1e-16), (n, j)
-
     # a scalar call is a one-column call of the same engine, so a column must
     # not depend on the others; only the summation order may differ
     def test_series_vec_matches_scalar(self):

@@ -139,6 +139,12 @@ class TestEulerMaclaurinAction:
     def test_residual_small(self, s, x):
         assert em_identity_residual(s, x) < 1e-8
 
+    @pytest.mark.parametrize("s", [0.0, 1e-12, 1e-9, 2.5926933011463254e-07, 1e-4, 0.5, 2.0])
+    def test_small_s_meets_tol(self, s):
+        # the panel integrals once took (n^-s - (n+1)^-s)/s, which cancels for
+        # small s > 0: the three small s gave 6.4e-4, 1.4e-7 and 2.0e-9 here
+        assert em_identity_residual(s, 0.09078293836885498, 1e-10) <= 1e-10
+
     def test_rearrangement_matches_connect(self):
         # same identity up to multiplying by (s+1) x^(s+1)
         s, x = 0.7, 0.37
