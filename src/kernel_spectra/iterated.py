@@ -20,8 +20,10 @@ Route agreement is the main correctness argument; the tests compare all
 three against each other and against frozen adaptive-quadrature values.
 
 Also here: the partial integrals int_0^x K2(z,y) dz (i0_eval) and
-int_x^y K2(z,w) dz/z^2 (i_eval), by termwise antiderivatives of the closed
-form.
+int_x^y K2(z,w) dz/z^2 (i_eval), by Fubini on K2 = int K K: the z-integral
+of K(z,t) is a Bernoulli antiderivative in closed form, and what is left
+over t is the certified mixed tail int_A^inf B2~(s) B1~(alpha s) s^-3 ds
+(plus, for i0_eval, one smooth panel quadrature).
 """
 
 from __future__ import annotations
@@ -186,60 +188,20 @@ def k2_diag_exact(x: float) -> float:
 _B2_TAIL_SUP = 1.0 / (18.0 * math.sqrt(3.0))
 
 
-def _w21(a, b, tol) -> np.ndarray:
-    """int_a^b B2~(t) t^-1 dt within tol for every pair (a, b), a difference of certified tails.
-
-    The infinite t^-1 tails converge because B2~ has zero mean; each takes tol/2.
-    """
-    half = 0.5 * np.asarray(tol, dtype=float)
-    return (_tilde_tail_vec(2, 1.0, np.atleast_1d(a), half)
-            - _tilde_tail_vec(2, 1.0, np.atleast_1d(b), half))
-
-
-def _u_integral(f, u_hi: float, steps: tuple[float, ...]) -> float:
-    """int_1^u_hi f(u) du by Gauss order 12 on panels cut at every multiple of every step.
-
-    f is smooth between those cuts (the mixed terms' factors jump or kink
-    at multiples of the steps), so each panel is resolved; 0 if u_hi <= 1.
-    """
-    if u_hi <= 1.0:
-        return 0.0
-    pts = [np.array([1.0, u_hi])]
-    for s in steps:
-        j_lo = math.floor(1.0 / s) + 1
-        j_hi = math.ceil(u_hi / s) - 1
-        if j_hi >= j_lo:
-            pts.append(np.arange(j_lo, j_hi + 1, dtype=float) * s)
-    cuts = np.concatenate(pts)
-    return composite_rule(np.unique(cuts[(cuts >= 1.0) & (cuts <= u_hi)]), 12).integrate(f)
-
-
 def i0_eval(x: float, y: float, tol: float = 1e-8) -> float:
-    """int_0^x K2(z, y) dz through termwise antiderivatives.
+    """int_0^x K2(z, y) dz by Fubini: K2 = int_0^1 K(z,t) K(t,y) dt, z first.
 
-    Integrating the four-term closed form of K2(z, y) in z term by term
-    (substituting t = 1/z or t = m y/z as appropriate) turns every piece
-    into certified Bernoulli tails, with no z-quadrature left:
+    K(z,t) = -B1~(1/(zt)); with s = 1/(zt) and one integration by parts,
 
-      int_0^x z B2~(1/z) dz            = G(1/x)
-      int_0^x H(1/z) dz                = x H(1/x) - G(1/x)
-      int_0^x z B2~(m y/z)/m^2 dz      = y^2 G(m y/x)
-      int_0^x [mixed-tail term] dz     = int_1^inf B1~(u/y) u^-1 G(u/x) du
+      int_0^x K(z,t) dz = -(1/t) int_a^inf B1~(s) s^-2 ds
+                        = -(1/t) [-B2~(a)/(2 a^2) + G(a)],   a = 1/(xt),
 
-    with G(a) = int_a^inf B2~ t^-3 dt and H(a) = int_a^inf B2~ t^-2 dt.
-    The series over m > 1/y is summed under the integral: with beta = y/x,
-    m0 = floor(1/y) + 1 and a = m0 beta > 1/x, the count of m >= m0 with
-    m beta <= t is floor(t/beta) - m0 + 1, and floor(u) = u - 1/2 - B1~(u)
-    turns the sum into two pure tails and a mixed tail,
-
-      sum_{m >= m0} G(m beta) = H(a)/beta + (1/2 - m0) G(a)
-                                - int_a^inf B2~(t) B1~(t/beta) t^-3 dt,
-
-    the last being mixed_power_tail(a, x/y) (_i0_series_term).  Split of
-    tol: the boundary, H, series and mixed terms take tol/4 each; the
-    series term is half the sum, so the sum may be off by tol/2, and each
-    of its three pieces takes a third of that divided by the piece's
-    factor (1/beta, m0 - 1/2 and 1).
+    G(a) = int_a^inf B2~ s^-3 ds.  Against K(t,y) = -B1~(1/(ty)) over t in
+    (0, 1], the B2~ part becomes -M(1/x, x/y)/2 with s = 1/(xt), where
+    M(A, alpha) = int_A^inf B2~(s) B1~(alpha s) s^-3 ds is the certified
+    mixed_power_tail, and the G part becomes
+    int_1^inf B1~(u/y) u^-1 G(u/x) du with u = 1/t (_i0_mixed_term).
+    The halved M and the G part take tol/2 each.
 
     The direct route (quadrature of z -> k2_closed(z, y)) converges too
     slowly to be usable: K2(z, y) has derivative kinks on the dense set
@@ -249,61 +211,46 @@ def i0_eval(x: float, y: float, tol: float = 1e-8) -> float:
         raise ValueError("i0_eval requires x, y in (0, 1]")
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must be in (0, 1)")
-    b1 = bernoulli_tilde(1, 1.0 / y)
-    c_g = 0.5 * abs(b1) + 0.5 / y  # G(1/x) enters the boundary and H terms
-    g_1x = tilde_power_tail(2, 3.0, 1.0 / x, 0.25 * tol / c_g)
-    h_1x = tilde_power_tail(2, 2, 1.0 / x, 0.25 * tol * y / x)
-    t_boundary = -0.5 * b1 * g_1x
-    t_h = -(x * h_1x - g_1x) / (2.0 * y)
-    t_series = _i0_series_term(x, y, 0.25 * tol)
-    t_mixed = _i0_mixed_term(x, y, 0.25 * tol)
-    return t_boundary + t_mixed + t_h + t_series
-
-
-def _i0_series_term(x: float, y: float, tol: float) -> float:
-    """(1/2) sum_{m > 1/y} G(m y/x) by the exchange in i0_eval's docstring, certified to tol.
-
-    Each of the three pieces is certified to 2 tol/3 divided by its factor,
-    so the half sum is within tol.  tests/test_iterated.py::TestI0 compares
-    it with the termwise sum direct_g_series.
-    """
-    m0 = math.floor(1.0 / y) + 1
-    beta = y / x
-    a, third = m0 * beta, 2.0 * tol / 3.0
-    total = (tilde_power_tail(2, 2.0, a, third * beta) / beta
-             + (0.5 - m0) * tilde_power_tail(2, 3.0, a, third / (m0 - 0.5))
-             - mixed_power_tail(a, x / y, third))
-    return 0.5 * total
+    return _i0_mixed_term(x, y, 0.5 * tol) - 0.5 * mixed_power_tail(1.0 / x, x / y, tol)
 
 
 def _i0_mixed_term(x: float, y: float, tol: float) -> float:
     """int_1^inf B1~(u/y) u^-1 G(u/x) du, certified to tol.
 
     |G(u/x)| <= _B2_TAIL_SUP (x/u)^3 caps the tail beyond u_hi at
-    _B2_TAIL_SUP x^3/(6 u_hi^3).  B1~ jumps at multiples of y and G has
-    second-derivative kinks at multiples of x.
+    _B2_TAIL_SUP x^3/(6 u_hi^3) = tol/2.  B1~ jumps at multiples of y and G
+    has second-derivative kinks at multiples of x, so Gauss order 12 on
+    panels cut at every such multiple resolves the rest of [1, u_hi].
     """
     u_hi = (x**3 * _B2_TAIL_SUP / (3.0 * tol)) ** (1.0 / 3.0)
+    if u_hi <= 1.0:
+        return 0.0
     per_node = 0.5 * tol / math.log(max(u_hi, math.e))
 
     def f(u):
         return bernoulli_tilde(1, u / y) / u * _tilde_tail_vec(2, 3.0, u / x, per_node)
 
-    return _u_integral(f, u_hi, (y, x))
+    cuts = np.concatenate([[1.0, u_hi]] + [
+        np.arange(math.floor(1.0 / s) + 1, math.ceil(u_hi / s)) * s for s in (y, x)])
+    return composite_rule(np.unique(cuts[(cuts >= 1.0) & (cuts <= u_hi)]), 12).integrate(f)
 
 
 def i_eval(x: float, y: float, w: float, tol: float = 1e-8) -> float:
     """int_x^y K2(z, w) dz / z^2, antisymmetric in (x, y); w in (0, 1].
 
-    Same termwise antidifferentiation as i0_eval, with the z^-2 weight
-    turning the substitutions into t^-1 tails:
+    By Fubini as in i0_eval, the z-integral first: with s = 1/(zt),
 
-      int_x^y z^-1 B2~(1/z) dz         = W(1/y, 1/x)
-      int_x^y H(1/z) z^-2 dz           = [v H(v)] + W over v in [1/y, 1/x]
-      int_x^y z^-1 B2~(m w/z)/m^2 dz   = W(m w/y, m w/x) / m^2
-      int_x^y [mixed-tail term] / z^2  = int_1^inf B1~(u/w) u^-3 W(u/y, u/x) du
+      int_x^y K(z,t) z^-2 dz = t int_{1/(xt)}^{1/(yt)} B1~(s) ds
+                             = t (B2~(1/(yt)) - B2~(1/(xt)))/2,
 
-    where W(a, b) = int_a^b B2~(t) t^-1 dt.
+    and against K(t,w) = -B1~(1/(tw)), with s = 1/(vt),
+
+      int_0^1 K(t,w) t B2~(1/(vt)) dt = -P(v),  P(v) = v^-2 M(1/v, v/w),
+
+    M the mixed tail of i0_eval, so i_eval = -(P(y) - P(x))/2.  Each M
+    takes tol v^2, so each P is within tol and the half difference too.
+    Swapping x and y negates the rounded difference exactly; x == y gives
+    +0.0.
     """
     if not (0.0 < x <= 1.0 and 0.0 < y <= 1.0 and 0.0 < w <= 1.0):
         raise ValueError("i_eval requires x, y, w in (0, 1]")
@@ -311,37 +258,8 @@ def i_eval(x: float, y: float, w: float, tol: float = 1e-8) -> float:
         raise ValueError("tol must be in (0, 1)")
     if x == y:
         return 0.0
-    if x > y:
-        return -i_eval(y, x, w, tol)
-    a, b = 1.0 / y, 1.0 / x
-    b1 = bernoulli_tilde(1, 1.0 / w)
-    c_w = 0.5 * abs(b1) + 0.5 / w  # W(1/y, 1/x) enters the boundary and H terms
-    w_ab = float(_w21(a, b, 0.25 * tol / c_w)[0])
-    h_a = tilde_power_tail(2, 2, a, 0.125 * tol * w / a)
-    h_b = tilde_power_tail(2, 2, b, 0.125 * tol * w / b)
-    t_boundary = -0.5 * b1 * w_ab
-    t_h = -((b * h_b - a * h_a) + w_ab) / (2.0 * w)
-    t_series = _i_series_term(x, y, w, 0.25 * tol)
-    t_mixed = _i_mixed_term(x, y, w, 0.25 * tol)
-    return t_boundary + t_mixed + t_h + t_series
 
+    def p(v):
+        return mixed_power_tail(1.0 / v, v / w, tol * v * v) / (v * v)
 
-def _i_series_term(x: float, y: float, w: float, tol: float) -> float:
-    """(1/(2w^2)) sum_{m > 1/w} W(m w/y, m w/x) / m^2, certified to tol."""
-    m_start = math.floor(1.0 / w) + 1
-    # |W(m w/y, m w/x)| <= _B2_TAIL_SUP (x + y)/(m w); tail sum <= tol/2
-    m_hi = m_start + int(math.sqrt(_B2_TAIL_SUP * (x + y) / (w**3 * tol))) + 1
-    m = np.arange(m_start, m_hi + 1, dtype=float)
-    env = m**-3
-    tol_m = 0.5 * w**2 * tol * env / float(np.sum(env))  # * m^2 weight later
-    return float(np.dot(_w21(m * (w / y), m * (w / x), tol_m), m**-2)) / (2.0 * w**2)
-
-
-def _i_mixed_term(x: float, y: float, w: float, tol: float) -> float:
-    """int_1^inf B1~(u/w) u^-3 W(u/y, u/x) du, certified to tol."""
-    u_hi = (_B2_TAIL_SUP * (x + y) / (6.0 * tol)) ** (1.0 / 3.0)
-
-    def f(u):  # each W within 2 tol, and the weight integrates to <= 1/4
-        return bernoulli_tilde(1, u / w) / u**3 * _w21(u / y, u / x, 2.0 * tol)
-
-    return _u_integral(f, u_hi, (w, x, y))
+    return -0.5 * (p(y) - p(x))

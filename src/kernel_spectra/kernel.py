@@ -10,6 +10,8 @@ z0^(r+1)/(r+1).  That is tol/2 unless the breakpoint cap moves z0 up.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .quadrature import merged_breakpoint_blocks
@@ -65,8 +67,10 @@ def delta_r(a: float, b: float, r: float, tol: float = 1e-7,
         raise ValueError("delta_r requires a, b in (0, 1]")
     if not r > -1.0:
         raise ValueError(f"delta_r requires r > -1 (the integral may diverge), got {r}")
-    if not tol > 0.0:
-        raise ValueError(f"delta_r requires tol > 0, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"delta_r requires tol > 0 and finite, got {tol}")
+    if not 1 <= cap < math.inf:
+        raise ValueError(f"delta_r requires cap >= 1 and finite, got {cap}")
     if a == b:
         return 0.0
     z0 = (0.5 * tol * (r + 1.0)) ** (1.0 / (r + 1.0))

@@ -174,8 +174,8 @@ def eigensolve(op: DiscretizedOperator, tol: float = 1e-11) -> Spectrum:
     RuntimeError if either exceeds it.  Matrix eigenvalues below the noise
     floor are discarded rather than inverted.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     mu, v, residual, orthogonality = _gated_eigh(op.matrix, tol)
     floor = EIGENVALUE_FLOOR_SCALE / op.size
     keep = np.abs(mu) >= floor

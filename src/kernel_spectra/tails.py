@@ -34,7 +34,7 @@ from scipy.special import digamma
 from scipy.special import zeta as hurwitz_zeta
 
 from .bernoulli import bernoulli_tilde
-from .quadrature import gauss_legendre
+from .quadrature import composite_rule
 
 __all__ = [
     "tilde_power_tail",
@@ -151,14 +151,9 @@ def tilde_power_tail(n: int, q: float, A: float, tol: float = 1e-11) -> float:
 _MAX_PANELS = 1 << 20
 
 
-def _halves(x, w):
-    """The rule (x, w) on [-1, 1] moved onto both halves of [0, 1]."""
-    return np.concatenate((x + 1.0, x + 3.0)) / 4.0, np.concatenate((w, w)) / 4.0
-
-
-# (s, w) by Gauss order; the windows give a panel [lo, hi] the nodes
-# lo + (hi - lo) s and the weights (hi - lo) w
-_UNIT = {k: _halves(*gauss_legendre(k)) for k in (8, 16)}
+# Gauss order k on each half of [0, 1], keyed by k; a window panel [lo, hi]
+# takes the nodes lo + (hi - lo) * nodes and the weights (hi - lo) * weights
+_UNIT = {k: composite_rule([0.0, 0.5, 1.0], k) for k in (8, 16)}
 
 
 def _tilde_tail_vec(n: int, q: float, A: np.ndarray, tol: np.ndarray) -> np.ndarray:
@@ -196,8 +191,8 @@ def _tilde_tail_vec(n: int, q: float, A: np.ndarray, tol: np.ndarray) -> np.ndar
         left = np.arange(ent.size) + (first[sl] - (cnt.cumsum() - cnt)).repeat(cnt)
         lo = np.maximum(A[sl][ent], left)
         width = left + 1.0 - lo
-        t = lo[:, None] + width[:, None] * _UNIT[16][0]
-        f = t**-q * _UNIT[16][1]
+        t = lo[:, None] + width[:, None] * _UNIT[16].nodes
+        f = t**-q * _UNIT[16].weights
         t -= left[:, None]  # now t - (k - 1), in [0, 1]
         b = coef[0]
         for ck in coef[1:]:
@@ -472,9 +467,9 @@ def _remainder_windows(A: float, T2: float, alpha: np.ndarray, m0: np.ndarray) -
         cuts, owner = cuts[order], owner[order]
         same = owner[1:] == owner[:-1]
         lo, width, pc = cuts[:-1][same], np.diff(cuts)[same], owner[1:][same]
-        t = lo[:, None] + width[:, None] * _UNIT[8][0]
+        t = lo[:, None] + width[:, None] * _UNIT[8].nodes
         f = bernoulli_tilde(4, t) * bernoulli_tilde(1, al[pc][:, None] * t) * t**-5
-        out[sl] = np.bincount(pc, weights=width * (f * _UNIT[8][1]).sum(axis=1), minlength=ncol)
+        out[sl] = np.bincount(pc, weights=width * (f * _UNIT[8].weights).sum(axis=1), minlength=ncol)
     return out
 
 

@@ -210,10 +210,10 @@ def hankel_apply(F, u: float, V: float = 40.0) -> float:
     G(u) is sqrt(x) int_0^1 K(x,y) f(y) dy at x = e^-u.
     """
     u = float(u)
-    if not u >= 0.0:
-        raise ValueError(f"u must be nonnegative, got {u}")
-    if not V > 0.0:
-        raise ValueError(f"V must be positive, got {V}")
+    if not 0.0 <= u < math.inf:
+        raise ValueError(f"u must be nonnegative and finite, got {u}")
+    if not 0.0 < V < math.inf:
+        raise ValueError(f"V must be positive and finite, got {V}")
     m_cap = 1 << 20
     log_cap = math.log(m_cap)
     v_bp = min(V, log_cap - u) if log_cap > u else 0.0

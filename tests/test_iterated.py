@@ -13,7 +13,6 @@ from kernel_spectra.iterated import (
     OFF_DIAGONAL_BOUND,
     _B2_TAIL_SUP,
     K2Evaluator,
-    _i0_series_term,
     _k2_row,
     i0_eval,
     i_eval,
@@ -23,7 +22,7 @@ from kernel_spectra.iterated import (
 )
 from kernel_spectra.kernel import k_eval
 from kernel_spectra.quadrature import composite_rule, uniform_rule
-from kernel_spectra.tails import _tilde_tail_vec, b2_series, tilde_power_tail
+from kernel_spectra.tails import _tilde_tail_vec, b2_series, mixed_power_tail, tilde_power_tail
 
 LOG_2PI_MINUS_74 = math.log(2.0 * math.pi) - 1.75
 
@@ -232,38 +231,56 @@ def _jump_cuts(scales, eps):
     return np.unique(np.concatenate(pts))
 
 
+def _swapped_integral(f, scales, eps):
+    """int_eps^1 f(t) dt by Gauss-8 on the panels of _jump_cuts, 2^16 panels at a time.
+
+    At w = 0.01 and eps = 1e-4 there are 1e6 cuts; blocks keep the node
+    arrays small.
+    """
+    cuts = _jump_cuts(scales, eps)
+    step = 1 << 16
+    return sum(composite_rule(cuts[i:i + step + 1], 8).integrate(f)
+               for i in range(0, cuts.size - 1, step))
+
+
 def _i0_order_swapped(x, y, eps=1e-4):
     """Oracle: integrate over the kernel row first, then over z.
 
     int_0^x K2(z,y) dz = int_0^1 K(t,y) [int_0^x K(z,t) dz] dt, and the
     inner integral equals -(1/t) int_{1/(xt)}^inf B1~(u) u^-2 du exactly.
-    This never touches the closed form used by i0_eval.  Dropping (0, eps]
+    Its only shared piece with i0_eval is the pure tail engine: the t
+    integral is a plain quadrature, not a mixed tail.  Dropping (0, eps]
     costs at most x^2 eps^2 / 12.
     """
-    rule = composite_rule(_jump_cuts((y, x), eps), 8)
-    t = rule.nodes
-    inner = -_tilde_tail_vec(1, 2.0, 1.0 / (x * t), np.full_like(t, 1e-12)) / t
-    k_row = -bernoulli_tilde(1, 1.0 / (t * y))
-    return float(np.dot(rule.weights, k_row * inner))
+    def f(t):
+        inner = -_tilde_tail_vec(1, 2.0, 1.0 / (x * t), np.full_like(t, 1e-12)) / t
+        return -bernoulli_tilde(1, 1.0 / (t * y)) * inner
+
+    return _swapped_integral(f, (y, x), eps)
 
 
 def _i_order_swapped(x, y, w, eps=1e-4):
-    # inner integral of K(z,t)/z^2 over [x,y] is t(B2~(1/(xt)) - B2~(1/(yt)))/2
-    rule = composite_rule(_jump_cuts((w, x, y), eps), 8)
-    t = rule.nodes
-    inner = 0.5 * t * (bernoulli_tilde(2, 1.0 / (x * t))
-                       - bernoulli_tilde(2, 1.0 / (y * t)))
-    k_row = -bernoulli_tilde(1, 1.0 / (t * w))
-    return -float(np.dot(rule.weights, k_row * inner))
+    """Oracle of i_eval as _i0_order_swapped is of i0_eval.
+
+    The inner integral of K(z,t)/z^2 over [x,y] is
+    t(B2~(1/(yt)) - B2~(1/(xt)))/2, at most t/8 in modulus, so dropping
+    (0, eps] against |K| <= 1/2 costs at most eps^2/32.
+    """
+    def f(t):
+        inner = 0.5 * t * (bernoulli_tilde(2, 1.0 / (y * t)) - bernoulli_tilde(2, 1.0 / (x * t)))
+        return -bernoulli_tilde(1, 1.0 / (t * w)) * inner
+
+    return _swapped_integral(f, (w, x, y), eps)
 
 
 def direct_g_series(beta, m_start, tol):
     """sum_{m >= m_start} G(m beta) term by term, G(a) = int_a^inf B2~ t^-3 dt, certified to tol.
 
-    The oracle of _i0_series_term, which sums the same series under the
-    integral.  Truncated where the envelope _B2_TAIL_SUP (m beta)^-3 makes
-    the tail sum at most tol/2; the other half is split over the summed
-    terms in proportion to that same envelope.
+    The series of the closed form's termwise z-integral (the termwise side
+    of TestI0::test_exchanged_series_matches_termwise_sum).  Truncated where
+    the envelope _B2_TAIL_SUP (m beta)^-3 makes the tail sum at most tol/2;
+    the other half is split over the summed terms in proportion to that
+    same envelope.
     """
     m_hi = m_start + int(math.sqrt(_B2_TAIL_SUP / (beta**3 * tol))) + 1
     a = np.arange(m_start, m_hi + 1, dtype=float) * beta
@@ -279,10 +296,16 @@ class TestI0:
         (0.8, 0.4 * (1 + 1e-9)), (0.35, 0.7 * (1 - 3e-12)),  # near 1/2 and 2
     ])
     def test_exchanged_series_matches_termwise_sum(self, x, y):
-        # the half sum is within tol and the halved oracle within tol/2
+        # i0_eval's -M(1/x, x/y)/2 against what the z-integral of the closed
+        # form's boundary, H and series terms gives term by term:
+        # -B1~(1/y) G(1/x)/2 - (x H(1/x) - G(1/x))/(2y) + (1/2) sum_m G(m y/x).
+        # The halved M and the halved series are within tol/2 each
         tol = 1e-10
-        direct = 0.5 * direct_g_series(y / x, math.floor(1.0 / y) + 1, tol)
-        assert abs(_i0_series_term(x, y, tol) - direct) <= 1.5 * tol
+        g = tilde_power_tail(2, 3.0, 1.0 / x, 1e-3 * tol)
+        h = tilde_power_tail(2, 2.0, 1.0 / x, 1e-3 * tol)
+        termwise = (-0.5 * bernoulli_tilde(1, 1.0 / y) * g - (x * h - g) / (2.0 * y)
+                    + 0.5 * direct_g_series(y / x, math.floor(1.0 / y) + 1, tol))
+        assert abs(-0.5 * mixed_power_tail(1.0 / x, x / y, tol) - termwise) <= 1.5 * tol
 
     def test_frozen_values(self):
         # frozen from the order-swapped oracle (agreement <= 5e-11 there)
@@ -299,6 +322,11 @@ class TestI0:
         for x, y, eps in [(1.0, 0.5, 1e-4), (0.3, 0.77, 1e-4), (0.9, 0.05, 5e-4), (1.0, 0.02, 5e-4)]:
             assert i0_eval(x, y, tol=1e-9) == pytest.approx(
                 _i0_order_swapped(x, y, eps), abs=5e-8)
+
+    def test_seeded_within_tol_of_tight_reference(self):
+        rng = np.random.default_rng(12)
+        for x, y in rng.uniform(0.01, 1.0, size=(20, 2)).tolist():
+            assert abs(i0_eval(x, y, 1e-8) - i0_eval(x, y, 1e-11)) <= 1e-8, (x, y)
 
     def test_small_first_argument_cubic_scaling(self):
         # |I0(x,y)| <= C x^3 / y with C = 1 (fitted constant, observed
@@ -333,6 +361,17 @@ class TestI:
     def test_order_swapped_oracle(self):
         assert i_eval(0.2, 0.8, 0.5, tol=1e-9) == pytest.approx(
             _i_order_swapped(0.2, 0.8, 0.5), abs=5e-8)
+
+    @pytest.mark.parametrize("x,y,w", [(0.05, 0.9, 0.1), (0.01, 0.02, 0.013), (0.02, 1.0, 0.01)])
+    def test_small_w_order_swapped(self, x, y, w):
+        # the mixed tails run at alpha = v/w up to 100; the oracle drops
+        # (0, 1e-4], at most 3.1e-10
+        assert abs(i_eval(x, y, w, tol=1e-10) - _i_order_swapped(x, y, w)) <= 1e-9
+
+    def test_seeded_within_tol_of_tight_reference(self):
+        rng = np.random.default_rng(13)
+        for x, y, w in rng.uniform(0.01, 1.0, size=(20, 3)).tolist():
+            assert abs(i_eval(x, y, w, 1e-8) - i_eval(x, y, w, 1e-11)) <= 1e-8, (x, y, w)
 
     def test_empty_interval(self):
         assert i_eval(0.37, 0.37, 0.8) == 0.0

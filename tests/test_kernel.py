@@ -192,9 +192,13 @@ class TestDeltaR:
             delta_r(0.0, 0.5, 0.0)
         with pytest.raises(ValueError):
             delta_r(0.5, 1.5, 0.0)
-        for tol in (0.0, -1e-7, math.nan):
+        for tol in (0.0, -1e-7, math.nan, math.inf):
             with pytest.raises(ValueError, match="tol > 0"):
                 delta_r(0.5, 0.3, 1.0, tol=tol)
+        # cap 0 would divide by zero, a negative or infinite cap drop the cap
+        for cap in (0, -5, 0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="cap >= 1"):
+                delta_r(0.3, 0.7, 0.0, cap=cap)
         with pytest.raises(ValueError, match="r > -1"):
             delta_r(0.5, 0.3, math.nan)
         with pytest.raises(ValueError, match="a, b in"):

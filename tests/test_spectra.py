@@ -131,8 +131,10 @@ class TestEigensolve:
             _gated_eigh(m, 1.0)
 
     def test_rejects_bad_tol(self, op256):
-        with pytest.raises(ValueError):
-            eigensolve(op256, tol=0.0)
+        # an infinite tol would switch the residual and orthogonality gate off
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                eigensolve(op256, tol=tol)
 
 
 class TestMultiplicityGroups:

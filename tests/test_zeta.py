@@ -192,3 +192,7 @@ class TestHankelForm:
             hankel_apply(lambda v: v, math.nan)
         with pytest.raises(ValueError, match="V must be positive"):
             hankel_apply(lambda v: v, 0.0, V=math.nan)
+        with pytest.raises(ValueError, match="V must be positive and finite"):
+            hankel_apply(lambda v: v, 0.0, V=math.inf)
+        with pytest.raises(ValueError, match="u must be nonnegative and finite"):
+            hankel_apply(lambda v: v, math.inf)
