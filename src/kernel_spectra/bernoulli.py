@@ -1,9 +1,9 @@
 """Periodic Bernoulli polynomials and factorial logarithms.
 
 The kernel 1/2 + floor(1/xy) - 1/xy and everything downstream of it is
-built from the sawtooth {t} - 1/2 and its antiderivatives, so the small
-evaluator family lives here.  Orders 1..4 are the only ones constructible;
-nothing in the toolkit needs more.
+built from the sawtooth {t} - 1/2 and its antiderivatives: one table
+_B_POLY of B_1..B_4 and one Horner evaluator serve the whole toolkit,
+which needs no order past 4.
 """
 
 from __future__ import annotations
@@ -11,15 +11,27 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
-__all__ = ["frac", "bernoulli_tilde", "log_factorial", "B3_MAX", "B4_MIN", "B4_MAX"]
+__all__ = ["frac", "bernoulli_tilde", "log_factorial"]
 
-# Extrema of the periodic evaluators on [0, 1), used for certified tail
-# bounds: |B~1| <= 1/2, |B~2| <= 1/6, |B~3| <= 1/(12*sqrt(3)), and
-# B~4 ranges over [-1/30, 7/240].
-B3_MAX = 1.0 / (12.0 * math.sqrt(3.0))
-B4_MIN = -1.0 / 30.0
-B4_MAX = 7.0 / 240.0
+# Bernoulli polynomials on [0, 1), the pieces of B~n between integers.  The
+# coefficients are literal: scipy.special.bernoulli(4)[4] is 5.7e-14 off -1/30.
+_B_POLY = {
+    1: Polynomial([-0.5, 1.0]),
+    2: Polynomial([1.0 / 6.0, -1.0, 1.0]),
+    3: Polynomial([0.0, 0.5, -1.5, 1.0]),
+    4: Polynomial([-1.0 / 30.0, 0.0, 1.0, -2.0, 1.0]),
+}
+
+
+def _bernoulli_poly(n: int, u):
+    """B_n(u) by Horner on the coefficients of _B_POLY[n]; scalars or arrays."""
+    coef = _B_POLY[n].coef
+    b = coef[-1]
+    for c in coef[-2::-1]:
+        b = b * u + c
+    return b
 
 
 def frac(t):
@@ -50,22 +62,10 @@ def bernoulli_tilde(order: int, t):
 
     Scalars or arrays.  Orders outside 1..4 raise ValueError.
     """
-    if order not in (1, 2, 3, 4):
+    if order not in _B_POLY:
         raise ValueError(f"order must be 1..4, got {order}")
-    u = frac(t)
-    u = np.asarray(u, dtype=float)
-    if order == 1:
-        out = u - 0.5
-    elif order == 2:
-        out = u * u - u + 1.0 / 6.0
-    elif order == 3:
-        out = u * (u * (u - 1.5) + 0.5)
-    else:
-        u2 = u * u
-        out = u2 * (u2 - 2.0 * u + 1.0) - 1.0 / 30.0
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out = _bernoulli_poly(order, frac(t))
+    return float(out) if out.ndim == 0 else out
 
 
 # Direct-summation/Stirling crossover.  The two branches agree to ~1e-15

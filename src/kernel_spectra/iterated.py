@@ -9,10 +9,11 @@ constant times min{x,y}/max{x,y}).  Three independent evaluation routes:
   either row, plus the closed form of the (0, eps] part (_k2_row at
   eps); that correction is certified to tol at any eps, which sets only
   the share of the definitional bulk (see k2_quadrature);
-* closed form: a four-term formula (boundary product, two tail integrals
-  over [1/x, inf), and a sawtooth series) through the certified tail
-  engine, one row of columns y at a time (a scalar call is one column),
-  _k2_row at eps = 1;
+* closed form: with t = 1/(xz), K2 is (1/x) times the integral of
+  B~1(t) B~1(x t/y) t^-2 over [1/x, inf), which is one by-parts level
+  (tails._by_parts_level at n = 2) plus the certified mixed tail, one row
+  of columns y at a time (a scalar call is one column), _k2_row at
+  eps = 1;
 * diagonal: a Stirling-type expression through log_factorial, valid only
   at x = y.
 
@@ -36,7 +37,7 @@ import numpy as np
 from .bernoulli import bernoulli_tilde, log_factorial
 from .kernel import k_eval
 from .quadrature import composite_rule, merged_breakpoint_blocks
-from .tails import _bn_series_vec, _tilde_tail_vec, mixed_power_tail, tilde_power_tail
+from .tails import _by_parts_level, _tilde_tail_vec, mixed_power_tail
 
 __all__ = [
     "K2Evaluator",
@@ -72,32 +73,27 @@ _DEFAULT = K2Evaluator()
 def _k2_row(x: float, ys: np.ndarray, tol: float, eps: float = 1.0) -> np.ndarray:
     """int_0^eps K(x,z) K(z,y) dz within tol for one x and every y in ys, all >= x.
 
-    The four-term closed form in t = 1/(xz) from A = 1/(x eps): at eps = 1
-    K2(x, y), one row of the iterated-kernel matrix (k2_closed), below 1
-    k2_quadrature's (0, eps] correction.  What depends on A alone (the pure
-    tails, B~n(A), the window's integer cuts) is computed once, the rest as
-    arrays over the columns.  The series t4 and the mixed tail's jump
-    series are one drift-class sum per column, each with its own
-    convergent and certificate.  The t3 tail is taken once at the tightest
-    column tolerance, 2 min(ys) tol/3, which meets every column's; t2, t3
-    and t4 take tol/3 each.
+    With t = 1/(xz) and alpha = x/y it is (1/x) int_A^inf B~1(t)
+    B~1(alpha t) t^(-2) dt, A = 1/(x eps): at eps = 1 K2(x, y), one row of
+    the iterated-kernel matrix (k2_closed), below 1 k2_quadrature's
+    correction.  _by_parts_level at n = 2 (jump series at beta = y/x)
+    takes 2 tol x/3 and leaves mixed_power_tail(A, alpha), which takes
+    tol x/3.  No column sets another's value (alpha <= 1), so every entry
+    equals its one-column call k2_closed bit for bit.
     """
     ys = np.asarray(ys, dtype=float)
     if not (ys.size and 0.0 < x <= float(ys.min()) and float(ys.max()) <= 1.0):
         raise ValueError("_k2_row requires 0 < x <= y <= 1 for every y")
     A = 1.0 / (x * eps)
-    b = 1.0 / (ys * eps)
-    t1 = -0.5 * x * eps * eps * bernoulli_tilde(2, A) * bernoulli_tilde(1, b)
-    t2 = mixed_power_tail(A, x / ys, tol * x / 3.0) / x
-    t3 = -0.5 / ys * tilde_power_tail(2, 2.0, A, 2.0 * float(ys.min()) * tol / 3.0)
-    pref = 0.5 * x / (ys * ys)
-    m_start = np.floor(b).astype(np.int64) + 1
-    t4 = pref * _bn_series_vec(2, ys / x, 2, m_start, tol / (3.0 * pref))
-    return t1 + t2 + t3 + t4
+    b = 1.0 / (ys * eps)  # alpha A
+    alpha = x / ys
+    level = _by_parts_level(2, A, alpha, ys / x, bernoulli_tilde(1, b),
+                            np.floor(b).astype(np.int64) + 1, tol * x / 3.0)
+    return (level + mixed_power_tail(A, alpha, tol * x / 3.0)) / x
 
 
 def k2_closed(x: float, y: float, evaluator: K2Evaluator | None = None) -> float:
-    """Four-term closed form for K2(x, y); x, y in (0, 1].
+    """Closed form for K2(x, y); x, y in (0, 1].
 
     A one-column row of _k2_row, the form that fills the iterated-kernel
     matrix; (x, y) is taken as (min, max) by symmetry, which keeps the
@@ -183,8 +179,8 @@ def k2_diag_exact(x: float) -> float:
 
 
 # |int_A^inf B2~(t) t^-q dt| <= _B2_TAIL_SUP * A^-q for every q >= 1:
-# one integration by parts against B3~/3 gives B3_MAX/3 from the boundary
-# term and another B3_MAX/3 from the remaining integral.
+# one integration by parts against B3~/3 gives sup|B3~|/3 = 1/(36 sqrt 3)
+# from the boundary term and another 1/(36 sqrt 3) from the remaining integral.
 _B2_TAIL_SUP = 1.0 / (18.0 * math.sqrt(3.0))
 
 

@@ -15,9 +15,10 @@ three primitives:
   Hurwitz-zeta and digamma differences and a count; past a truncation M
   each class is compared with its integral, and the integrals cancel
   across the classes by the multiplication theorem (_bn_series_vec);
-* the mixed tail int_A^inf B~2(t) B~1(alpha t) t^(-3) dt: two integration
-  by parts against the B~1 factor (each step emits a pure tail and a jump
-  series) and a short certified window for what remains.
+* the mixed tail int_A^inf B~2(t) B~1(alpha t) t^(-3) dt: two by-parts
+  levels (_by_parts_level, one step against B~n/n that emits a boundary
+  term, a pure tail and a jump series; K2 is level 2 plus the mixed tail)
+  and a short certified window for what remains.
 
 All public functions take an absolute tolerance and guarantee the returned
 value is within it.
@@ -33,7 +34,7 @@ from numpy.polynomial import Polynomial
 from scipy.special import digamma
 from scipy.special import zeta as hurwitz_zeta
 
-from .bernoulli import bernoulli_tilde
+from .bernoulli import _B_POLY, _bernoulli_poly, bernoulli_tilde
 from .quadrature import composite_rule
 
 __all__ = [
@@ -44,13 +45,6 @@ __all__ = [
     "kernel_moment",
 ]
 
-# Bernoulli polynomials on [0, 1), the pieces of B~n between integers.
-_B_POLY = {
-    1: Polynomial([-0.5, 1.0]),
-    2: Polynomial([1.0 / 6.0, -1.0, 1.0]),
-    3: Polynomial([0.0, 0.5, -1.5, 1.0]),
-    4: Polynomial([-1.0 / 30.0, 0.0, 1.0, -2.0, 1.0]),
-}
 
 def _check_tol(tol: float) -> None:
     if not 0.0 < tol < math.inf:
@@ -68,18 +62,21 @@ def _piece_values(p: Polynomial) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _ladder_levels(n: int, depth: int):
-    """The means of the ladder's pieces p_0 .. p_(depth-1) and sup|p_depth|; see _tail_ladder."""
+def _ladder_levels(n: int):
+    """The means of the ladder's pieces p_0 .. p_5 and sup|p_6|; see _ladder_poly."""
     p = _B_POLY[n]
     means = []
-    for _ in range(depth):
+    for _ in range(6):
         means.append(float(p.integ()(1.0)))  # the mean of p on [0, 1]
         h = (p - means[-1]).integ()
         p = h - h(0.0)
     return tuple(means), float(np.max(np.abs(_piece_values(p))))
 
 
-def _tail_ladder(n: int, q: float, depth: int = 6):
+# a pass of independent queries brings hundreds of one-off exponents; the
+# exponents that recur (q = 1..4) stay in a small cache
+@lru_cache(maxsize=128)
+def _ladder_poly(n: int, q: float):
     """The by-parts ladder for int_T^inf B~n(t) t^(-q) dt at integer T >= 1.
 
     Recursion: split the piece p of B~n into its mean m plus an oscillation
@@ -89,16 +86,14 @@ def _tail_ladder(n: int, q: float, depth: int = 6):
 
         int_T^inf p({t}) t^(-q) = m T^(1-q)/(q-1) + q int_T^inf h({t}) t^(-q-1)
 
-    After `depth` levels the remainder is bounded by sup|p_depth| times the
-    power tail, with the accumulated q multipliers.  Returns
-    (terms, (bound_coef, bound_q)) with terms = ((coef_i, q_i), ...) so that
-    the tail at T is sum coef_i T^(1-q_i)/(q_i - 1) and the remainder bound
-    |bound_coef T^(1-bound_q)/(bound_q - 1)|.  The polynomial work depends on
-    (n, depth) alone and is cached (_ladder_levels); a q costs a few float
-    multiplies.
+    After six levels the remainder is bounded by sup|p_6| times the power
+    tail, with the accumulated q multipliers.  Returns (e, d, c, p), the
+    arrays read-only: the tail at T is sum_i d_i T^(e_i), and the remainder
+    is within c T^(-p).  The polynomial work depends on n alone and is
+    cached (_ladder_levels); a q costs a few float multiplies.
     """
-    means, sup = _ladder_levels(n, depth)
-    terms = []
+    means, sup = _ladder_levels(n)
+    e, d = [], []
     mult = 1.0
     qq = float(q)
     for m in means:
@@ -106,27 +101,13 @@ def _tail_ladder(n: int, q: float, depth: int = 6):
             if abs(m) > 1e-14:
                 raise ValueError("divergent tail: q <= 1 with nonzero mean")
         else:
-            terms.append((mult * m, qq))
+            e.append(1.0 - qq)
+            d.append(mult * m / (qq - 1.0))
         mult *= qq
         qq += 1.0
-    return tuple(terms), (mult * sup, qq)
-
-
-# a pass of independent queries brings hundreds of one-off exponents; the
-# exponents that recur (q = 1..4) stay in a small cache
-@lru_cache(maxsize=128)
-def _ladder_poly(n: int, q: float):
-    """The ladder of _tail_ladder(n, q) as (e, d, c, p), cached, the arrays read-only.
-
-    At integer T the tail is sum_i d_i T^(e_i), e_i = 1 - q_i and
-    d_i = coef_i/(q_i - 1); the remainder is within c T^(-p), with
-    p = bound_q - 1 and c = |bound_coef|/p.
-    """
-    terms, (bc, bq) = _tail_ladder(n, q)
-    e = np.array([1.0 - qi for _, qi in terms])
-    d = np.array([c / (qi - 1.0) for c, qi in terms])
+    e, d = np.array(e), np.array(d)
     e.flags.writeable = d.flags.writeable = False
-    return e, d, abs(bc) / (bq - 1.0), bq - 1.0
+    return e, d, abs(mult * sup) / (qq - 1.0), qq - 1.0
 
 
 def tilde_power_tail(n: int, q: float, A: float, tol: float = 1e-11) -> float:
@@ -182,7 +163,6 @@ def _tilde_tail_vec(n: int, q: float, A: np.ndarray, tol: np.ndarray) -> np.ndar
         raise ValueError(f"tol {float(np.min(tol))} needs a tail window of more than "
                          f"{_MAX_PANELS} unit panels")
     panels = panels.astype(np.int64)
-    coef = _B_POLY[n].coef[::-1]
     val = np.empty(A.shape)
     for sl in _column_blocks(panels, _SUM_BLOCK // 32):  # a panel has 32 nodes
         cnt = panels[sl]
@@ -194,10 +174,8 @@ def _tilde_tail_vec(n: int, q: float, A: np.ndarray, tol: np.ndarray) -> np.ndar
         t = lo[:, None] + width[:, None] * _UNIT[16].nodes
         f = t**-q * _UNIT[16].weights
         t -= left[:, None]  # now t - (k - 1), in [0, 1]
-        b = coef[0]
-        for ck in coef[1:]:
-            b = b * t + ck
-        window = np.bincount(ent, weights=width * (b * f).sum(axis=1), minlength=cnt.size)
+        window = np.bincount(ent, weights=width * (_bernoulli_poly(n, t) * f).sum(axis=1),
+                             minlength=cnt.size)
         val[sl] = (T[sl, None] ** e * d).sum(axis=1) + window  # the ladder's tail at T
     return val
 
@@ -473,24 +451,39 @@ def _remainder_windows(A: float, T2: float, alpha: np.ndarray, m0: np.ndarray) -
     return out
 
 
+def _by_parts_level(n: int, A: float, alpha: np.ndarray, beta: np.ndarray,
+                    b1_at_edge: np.ndarray, m0: np.ndarray, tol: float) -> np.ndarray:
+    """int_A^inf B~(n-1)(t) B~1(alpha t) t^(-n) dt less the next level's integral, within 2 tol.
+
+    By parts against B~n/n, per column: the boundary term -B~n(A) B~1(alpha A)
+    A^(-n)/n (b1_at_edge = B~1(alpha A)), the pure tail -(alpha/n)
+    int_A^inf B~n t^(-n), and the jump series (alpha^n/n) sum_{m >= m0}
+    B~n(m beta) m^(-n), beta = 1/alpha as the caller has it.  The next
+    integrand is B~n(t) B~1(alpha t) t^(-n-1).  The pure tail is taken once
+    at tol min(1, n/max alpha), so its error times alpha/n is within tol and
+    no column sets another's value while every alpha <= n.
+    """
+    an = alpha**n
+    pure = tilde_power_tail(n, float(n), A, tol * min(1.0, n / float(alpha.max())))
+    return (-bernoulli_tilde(n, A) * b1_at_edge * A**-n / n - (alpha / n) * pure
+            + (an / n) * _bn_series_vec(n, beta, n, m0, tol * n / an))
+
+
 def mixed_power_tail(A: float, alpha, tol: float = 1e-11):
     """int_A^inf B~2(t) B~1(alpha t) t^(-3) dt for A >= 1 and any finite alpha > 0.
 
     alpha is a float (the result is a float) or a 1-D array (one result per
-    entry).  Two integrations by parts against antiderivatives of the B~2
-    factor.  Each step emits a boundary term, a pure tail (the smooth part
-    of d/dt B~1(alpha t)), and a jump series over the discontinuities of
-    B~1(alpha t) at t = m/alpha; the final remainder
+    entry).  Two levels of _by_parts_level (n = 3, 4, the jump series at
+    beta = 1/alpha) take tol/7 each; the final remainder
 
         R2 = int_A^inf B~4(t) B~1(alpha t) t^(-5) dt
 
     is integrated numerically out to T2 with its crude tail certified by
-    sup|B~4 B~1| = 1/60.  The pure tails, B~3(A), B~4(A), T2 and the
-    window's integer cuts depend on A and tol only and are computed once
-    for every alpha.  The jump series sum_m B~n(m/alpha) m^(-n), n = 3, 4,
-    are one drift-class sum per alpha (_bn_series_vec) at 1/alpha, which
-    is below 1 for alpha > 1.  The windows run through _remainder_windows;
-    a window has about alpha T2 jump cuts, so its cost grows like alpha T2.
+    sup|B~4 B~1| = 1/60 to tol/7.  The pure tails, B~3(A), B~4(A), T2 and
+    the window's integer cuts depend on A and tol (and the pure tails on
+    max alpha past 3) only and are computed once for every alpha.  The
+    windows run through _remainder_windows; a window has about alpha T2
+    jump cuts, so its cost grows like alpha T2.
     """
     if not 1.0 <= A < math.inf:
         raise ValueError(f"mixed_power_tail requires A >= 1 and finite, got {A}")
@@ -500,19 +493,9 @@ def mixed_power_tail(A: float, alpha, tol: float = 1e-11):
     if alpha.ndim != 1 or not np.all((alpha > 0.0) & (alpha < math.inf)):
         raise ValueError(f"mixed_power_tail requires alpha in (0, inf), a float or 1-D, got {alpha}")
     tol_i = tol / 7.0
-    al = alpha.tolist()
     b1_at_edge = bernoulli_tilde(1, alpha * A)  # right-continuous at jumps
     m0 = np.floor(alpha * A).astype(np.int64) + 1  # first jump strictly past A
-    inv = 1.0 / alpha
-    a3 = np.array([a**3 for a in al])
-    a4 = np.array([a**4 for a in al])
-
-    total = -bernoulli_tilde(3, A) * b1_at_edge * A**-3 / 3.0
-    total -= (alpha / 3.0) * tilde_power_tail(3, 3.0, A, tol_i)
-    total += (a3 / 3.0) * _bn_series_vec(3, inv, 3, m0, tol_i * 3.0 / a3)
-    total -= bernoulli_tilde(4, A) * b1_at_edge * A**-4 / 4.0
-    total -= (alpha / 4.0) * tilde_power_tail(4, 4.0, A, tol_i)
-    total += (a4 / 4.0) * _bn_series_vec(4, inv, 4, m0, tol_i * 4.0 / a4)
+    total = sum(_by_parts_level(n, A, alpha, 1.0 / alpha, b1_at_edge, m0, tol_i) for n in (3, 4))
 
     # remainder window: cuts at the integers and at the B~1(alpha t) jumps
     T2 = max(int(math.ceil(A)) + 1, int(math.ceil((1.0 / (240.0 * tol_i)) ** 0.25)))
@@ -521,14 +504,14 @@ def mixed_power_tail(A: float, alpha, tol: float = 1e-11):
 
 
 def kernel_moment(x: float, s: float, tol: float = 1e-11) -> float:
-    """int_0^1 K(x, y) y^s dy for x in (0, 1], s > -2, error below tol.
+    """int_0^1 K(x, y) y^s dy for x in (0, 1], s >= -1, error below tol.
 
     The substitution t = 1/(xy) turns the moment into a pure tail:
 
         int_0^1 K(x,y) y^s dy = -x^(-s-1) int_{1/x}^inf B~1(t) t^(-s-2) dt
 
-    convergent down to s = -1 (conditionally, B~1 having zero mean) and
-    absolutely for s > -1.
+    convergent at s = -1 (conditionally, B~1 having zero mean) and
+    absolutely for s > -1; the zeta identities use s >= -1.
     """
     if not 0.0 < x <= 1.0:
         raise ValueError("kernel_moment requires x in (0, 1]")

@@ -5,15 +5,27 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kernel_spectra.bernoulli import (
-    B3_MAX,
-    B4_MAX,
-    B4_MIN,
-    bernoulli_tilde,
-    frac,
-    log_factorial,
-)
+from kernel_spectra.bernoulli import _B_POLY, bernoulli_tilde, frac, log_factorial
 from kernel_spectra.quadrature import composite_rule
+from kernel_spectra.tails import _piece_values
+
+# extrema of the periodic evaluators on [0, 1): |B~3| <= 1/(12 sqrt 3), and
+# B~4 ranges over [-1/30, 7/240]
+B3_MAX = 1.0 / (12.0 * math.sqrt(3.0))
+B4_MIN = -1.0 / 30.0
+B4_MAX = 7.0 / 240.0
+
+
+def hand_written(order, u):
+    """The four branches bernoulli_tilde had before the table, at u in [0, 1): its oracle."""
+    if order == 1:
+        return u - 0.5
+    if order == 2:
+        return u * u - u + 1.0 / 6.0
+    if order == 3:
+        return u * (u * (u - 1.5) + 0.5)
+    u2 = u * u
+    return u2 * (u2 - 2.0 * u + 1.0) - 1.0 / 30.0
 
 
 class TestFrac:
@@ -72,6 +84,18 @@ class TestBernoulliTilde:
         b4 = bernoulli_tilde(4, t)
         assert np.min(b4) >= B4_MIN - 1e-15
         assert np.max(b4) <= B4_MAX + 1e-15
+
+    def test_table_extrema(self):
+        assert np.max(np.abs(_piece_values(_B_POLY[3]))) == pytest.approx(B3_MAX, rel=1e-14)
+        b4 = _piece_values(_B_POLY[4])
+        assert np.min(b4) == pytest.approx(B4_MIN, rel=1e-14)
+        assert np.max(b4) == pytest.approx(B4_MAX, rel=1e-14)
+
+    def test_matches_hand_written_forms(self):
+        t = np.linspace(-3.0, 3.0, 600001)
+        u = frac(t)
+        for n in (1, 2, 3, 4):
+            assert np.max(np.abs(bernoulli_tilde(n, t) - hand_written(n, u))) <= 1e-16, n
 
     def test_b3_max_attained(self):
         # the sup 1/(12 sqrt 3) is attained at {t} = 1/2 - 1/(2 sqrt 3)

@@ -416,7 +416,7 @@ class TestEvaluatorConfig:
 
 
 class TestBatchedRow:
-    # k2_closed is a one-column row: a full row must match its one-column
+    # k2_closed is a one-column row: a full row must equal its one-column
     # calls (no column affects another), and rows must match the independent
     # quadrature and diagonal routes
     TOL = 1e-7  # cross_validate_k2's default entry tolerance
@@ -425,7 +425,7 @@ class TestBatchedRow:
         ev = K2Evaluator(tol=self.TOL)
         got = _k2_row(x, ys, self.TOL)
         ref = np.array([k2_closed(x, float(y), ev) for y in ys])
-        assert np.max(np.abs(got - ref)) <= self.TOL
+        assert np.array_equal(got, ref)
 
     def test_full_matrix_n64(self):
         x = uniform_rule(16, 4).nodes

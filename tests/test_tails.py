@@ -13,14 +13,13 @@ from scipy.special import polygamma
 from scipy.special import zeta as hurwitz_zeta
 
 from kernel_spectra import tails
-from kernel_spectra.bernoulli import bernoulli_tilde
+from kernel_spectra.bernoulli import _B_POLY, bernoulli_tilde
 from kernel_spectra.kernel import k_eval
-from kernel_spectra.quadrature import composite_rule, kernel_breakpoints
+from kernel_spectra.quadrature import composite_rule, gauss_legendre, kernel_breakpoints
 from kernel_spectra.tails import (
-    _B_POLY,
     _bn_series_vec,
+    _ladder_poly,
     _piece_values,
-    _tail_ladder,
     _tilde_tail_vec,
     b2_series,
     bn_series,
@@ -134,15 +133,23 @@ class TestTildePowerTail:
         assert whole == pytest.approx(part, abs=5e-12)
 
 
-def _tail_at(n, q, T, depth=6):
-    """(value, bound) of the B~n ladder at integer T, summed term by term from _tail_ladder."""
-    terms, (bc, bq) = _tail_ladder(n, float(q), depth)
+def _tail_at(n, q, T, depth=None):
+    """(value, bound) of the B~n ladder at integer T: _ladder_poly, or poly_ladder at a given depth."""
+    if depth is None:
+        e, d, c, p = _ladder_poly(n, float(q))
+        return float(np.sum(d * float(T) ** e)), c * float(T) ** -p
+    terms, (bc, bq) = poly_ladder(n, q, depth)
     value = sum(c * T ** (1.0 - qi) / (qi - 1.0) for c, qi in terms)
     return value, abs(bc * T ** (1.0 - bq) / (bq - 1.0))
 
 
 def poly_ladder(n, q, depth=6):
-    """The by-parts ladder as it was built per q, polynomials and all: the oracle of _tail_ladder."""
+    """The by-parts ladder as it was built per q, polynomials and all: the oracle of _ladder_poly.
+
+    Returns (terms, (bound_coef, bound_q)) with terms = ((coef_i, q_i), ...):
+    the tail at T is sum coef_i T^(1-q_i)/(q_i - 1) and the remainder bound
+    |bound_coef T^(1-bound_q)/(bound_q - 1)|.
+    """
     p = _B_POLY[n]
     terms = []
     mult = 1.0
@@ -164,7 +171,7 @@ def poly_ladder(n, q, depth=6):
 
 class TestTailEngine:
     # _tilde_tail_vec integrates every window in one batch, never through the
-    # scalar tilde_power_tail, and the ladder's polynomials are cached per (n, depth)
+    # scalar tilde_power_tail, and the ladder's polynomials are cached per n
 
     def test_no_scalar_call(self, monkeypatch):
         # A in [1, 3] at tight tol is where the ladder at T = max(ceil A, 2)
@@ -212,16 +219,24 @@ class TestTailEngine:
             _, peak = traced_peak(reject, fn, *args)
             assert peak < 1 << 16
 
+    # the library's ladder is the per-q oracle's at depth 6, exactly; the
+    # oracle at `depth` agrees with it at T = 3 within the two bounds
     @pytest.mark.parametrize("n,q,depth", [(1, 1.0, 6), (2, 0.5, 6), (2, 1.0, 8), (3, 2.5, 6),
                                            (4, 3.0, 6), (1, 3.7, 4), (4, 1e-3, 6), (2, 17.25, 8)])
     def test_ladder_matches_per_q_polynomials(self, n, q, depth):
-        assert _tail_ladder(n, q, depth) == poly_ladder(n, q, depth)
+        terms, (bc, bq) = poly_ladder(n, q)
+        e, d, c, p = _ladder_poly(n, q)
+        assert np.array_equal(e, [1.0 - qi for _, qi in terms])
+        assert np.array_equal(d, [ci / (qi - 1.0) for ci, qi in terms])
+        assert (c, p) == (abs(bc) / (bq - 1.0), bq - 1.0)
+        (v, b), (v_ref, b_ref) = _tail_at(n, q, 3), _tail_at(n, q, 3, depth)
+        assert abs(v - v_ref) <= b + b_ref
 
 
 class TestPeriodicPowerTail:
     # the by-parts ladder behind tilde_power_tail, evaluated at integer T
     def test_depth_consistency(self):
-        v6, b6 = _tail_at(2, 2.0, 3, depth=6)
+        v6, b6 = _tail_at(2, 2.0, 3)
         v8, b8 = _tail_at(2, 2.0, 3, depth=8)
         assert abs(v6 - v8) <= b6 + b8
 
@@ -233,7 +248,7 @@ class TestPeriodicPowerTail:
 
     def test_q_one_zero_mean(self):
         # conditionally convergent case, only legal for zero-mean pieces
-        v, b = _tail_at(1, 1.0, 5, depth=6)
+        v, b = _tail_at(1, 1.0, 5)
         w = _window_integral(lambda t: bernoulli_tilde(1, t) / t, 5.0, 3000.0)
         assert abs(v - w) <= b + 1.0 / (6.0 * 3000.0)
 
@@ -393,6 +408,30 @@ class TestBnSeries:
                 bn_series(3, 2.5, 3.0, 1, tol)
 
 
+def brute_mixed_tail(A, alpha, T):
+    """int_A^T B~2(t) B~1(alpha t) t^-3 dt by Gauss-8, cut at the integers and every jump m/alpha.
+
+    The oracle of TestMixedPowerTail past alpha = 4.  On a panel with
+    midpoint c, B~2(t) = B_2(t - floor c) and B~1(alpha t) = alpha t -
+    floor(alpha c) - 1/2; the unit intervals are taken about 2^15 panels at
+    a time.
+    """
+    x, w = gauss_legendre(8)
+    total, step = 0.0, max(1, int(2**15 / alpha))
+    for k in range(math.floor(A), math.ceil(T), step):
+        lo, hi = max(A, k), min(T, k + step)
+        jumps = np.arange(math.floor(alpha * lo) + 1, math.ceil(alpha * hi)) / alpha
+        cuts = np.unique(np.concatenate(([lo, hi], np.arange(k + 1, k + step), jumps)))
+        cuts = cuts[(lo <= cuts) & (cuts <= hi)]
+        half = 0.5 * np.diff(cuts)
+        mid = cuts[:-1] + half
+        t = mid[:, None] + half[:, None] * x
+        u = t - np.floor(mid)[:, None]
+        b1 = alpha * t - (np.floor(alpha * mid) + 0.5)[:, None]
+        total += float(half @ (((u * (u - 1.0) + 1.0 / 6.0) * b1 / (t * t * t)) @ w))
+    return total
+
+
 class TestMixedPowerTail:
     def test_matches_brute_window(self):
         def oracle(A, alpha, T=20000.0):
@@ -414,6 +453,18 @@ class TestMixedPowerTail:
                 mine = mixed_power_tail(A, alpha, tol=1e-11)
                 ref, slack = oracle(A, alpha)
                 assert abs(mine - ref) <= slack + 2e-11, (A, alpha)
+
+    @pytest.mark.parametrize("alpha", [100.0, 333.3, 1000.0])
+    def test_meets_tol_past_the_level_orders(self, alpha):
+        # alpha > 4: the pure tails' errors are multiplied by alpha/n; the
+        # oracle's tail past T is below T^-2/24 <= tol/100 at tol 1e-8
+        T = math.ceil(math.sqrt(100.0 / (24.0 * 1e-8)))
+        whole = brute_mixed_tail(1.0, alpha, T)
+        ref = {1.0: whole, 2.7: whole - brute_mixed_tail(1.0, alpha, 2.7)}
+        for A in (1.0, 2.7):
+            for tol in (1e-6, 1e-8):
+                err = abs(mixed_power_tail(A, alpha, tol) - ref[A])
+                assert err <= tol, (A, tol, err / tol)
 
     def test_frozen_values(self):
         assert mixed_power_tail(1.37, 0.3125, tol=1e-12) == pytest.approx(
