@@ -87,7 +87,7 @@ def log_factorial(n: int) -> float:
     terms 1/(12z) - 1/(360z^3) + 1/(1260z^5) leave a remainder below
     1/(1680*257^7) ~ 1e-20 at the crossover, so the branches agree there.
     """
-    if n != int(n) or n < 0:
+    if not (0 <= n < math.inf and n == int(n)):
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     n = int(n)
     if n <= _STIRLING_THRESHOLD:

@@ -23,8 +23,9 @@ three against each other and against frozen adaptive-quadrature values.
 Also here: the partial integrals int_0^x K2(z,y) dz (i0_eval) and
 int_x^y K2(z,w) dz/z^2 (i_eval), by Fubini on K2 = int K K: the z-integral
 of K(z,t) is a Bernoulli antiderivative in closed form, and what is left
-over t is the certified mixed tail int_A^inf B2~(s) B1~(alpha s) s^-3 ds
-(plus, for i0_eval, one smooth panel quadrature).
+over t is the certified mixed tail int_A^inf B2~(s) B1~(alpha s) s^-3 ds.
+i0_eval has k2_quadrature's shape: an exact panel sum on merged
+breakpoints down to a cutoff, and that mixed tail below it.
 """
 
 from __future__ import annotations
@@ -33,11 +34,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import digamma
 
 from .bernoulli import bernoulli_tilde, log_factorial
 from .kernel import k_eval
-from .quadrature import composite_rule, merged_breakpoint_blocks
-from .tails import _by_parts_level, _tilde_tail_vec, mixed_power_tail
+from .quadrature import merged_breakpoint_blocks
+from .tails import _by_parts_level, mixed_power_tail
 
 __all__ = [
     "K2Evaluator",
@@ -185,50 +187,47 @@ _B2_TAIL_SUP = 1.0 / (18.0 * math.sqrt(3.0))
 
 
 def i0_eval(x: float, y: float, tol: float = 1e-8) -> float:
-    """int_0^x K2(z, y) dz by Fubini: K2 = int_0^1 K(z,t) K(t,y) dt, z first.
+    """int_0^x K2(z, y) dz by Fubini, z first, in k2_quadrature's shape.
 
-    K(z,t) = -B1~(1/(zt)); with s = 1/(zt) and one integration by parts,
+    With n = floor(1/(xt)), the Euler limit (zeta.euler_limit_residual)
+    gives Phi(t) = int_0^x K(z,t) dz = (c_n - log t)/t + e, where
+    c_n = -psi(n+1) - log x - 1 and e = x (n + 1/2).  Bulk, t in [1/U, 1]:
+    on a merged panel [lo, hi] of the rows x and y, K(t,y) = d - v/t with
+    v = 1/y, d = floor(v/t) + 1/2, and Phi = (c - log(t/lo))/t + e with
+    c = c_n - log lo; with dz = hi - lo and L = log1p(dz/lo), exactly
 
-      int_0^x K(z,t) dz = -(1/t) int_a^inf B1~(s) s^-2 ds
-                        = -(1/t) [-B2~(a)/(2 a^2) + G(a)],   a = 1/(xt),
+      int K Phi dt = d (c L - L^2/2 + e dz) - v (((c - 1) dz + lo L)/(hi lo) + e L).
 
-    G(a) = int_a^inf B2~ s^-3 ds.  Against K(t,y) = -B1~(1/(ty)) over t in
-    (0, 1], the B2~ part becomes -M(1/x, x/y)/2 with s = 1/(xt), where
-    M(A, alpha) = int_A^inf B2~(s) B1~(alpha s) s^-3 ds is the certified
-    mixed_power_tail, and the G part becomes
-    int_1^inf B1~(u/y) u^-1 G(u/x) du with u = 1/t (_i0_mixed_term).
-    The halved M and the G part take tol/2 each.
-
-    The direct route (quadrature of z -> k2_closed(z, y)) converges too
-    slowly to be usable: K2(z, y) has derivative kinks on the dense set
-    z = m y / j, giving its z-derivative unbounded variation.
+    Tail, t in (0, 1/U]: Phi(t) = [B2~(a)/(2a^2) - G(a)]/t, a = 1/(xt),
+    G(a) = int_a^inf B2~ s^-3 ds.  Against K(t,y) = -B1~(1/(ty)) the B2~
+    part is -M(U/x, x/y)/2 with M(A, alpha) = int_A^inf B2~(s) B1~(alpha s)
+    s^-3 ds, the certified mixed_power_tail (tol/2 after halving).  The G
+    part, int_U^inf B1~(u/y) G(u/x) du/u, is at most _B2_TAIL_SUP x^3/(6U^3),
+    tol/4 at U = max(1, (_B2_TAIL_SUP x^3/(1.5 tol))^(1/3)), and is dropped;
+    at U = 1 there is no bulk.  Quadrature of z -> K2(z, y) converges too
+    slowly: K2 has derivative kinks on the dense set z = m y / j.
     """
     if not (0.0 < x <= 1.0 and 0.0 < y <= 1.0):
         raise ValueError("i0_eval requires x, y in (0, 1]")
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must be in (0, 1)")
-    return _i0_mixed_term(x, y, 0.5 * tol) - 0.5 * mixed_power_tail(1.0 / x, x / y, tol)
-
-
-def _i0_mixed_term(x: float, y: float, tol: float) -> float:
-    """int_1^inf B1~(u/y) u^-1 G(u/x) du, certified to tol.
-
-    |G(u/x)| <= _B2_TAIL_SUP (x/u)^3 caps the tail beyond u_hi at
-    _B2_TAIL_SUP x^3/(6 u_hi^3) = tol/2.  B1~ jumps at multiples of y and G
-    has second-derivative kinks at multiples of x, so Gauss order 12 on
-    panels cut at every such multiple resolves the rest of [1, u_hi].
-    """
-    u_hi = (x**3 * _B2_TAIL_SUP / (3.0 * tol)) ** (1.0 / 3.0)
-    if u_hi <= 1.0:
-        return 0.0
-    per_node = 0.5 * tol / math.log(max(u_hi, math.e))
-
-    def f(u):
-        return bernoulli_tilde(1, u / y) / u * _tilde_tail_vec(2, 3.0, u / x, per_node)
-
-    cuts = np.concatenate([[1.0, u_hi]] + [
-        np.arange(math.floor(1.0 / s) + 1, math.ceil(u_hi / s)) * s for s in (y, x)])
-    return composite_rule(np.unique(cuts[(cuts >= 1.0) & (cuts <= u_hi)]), 12).integrate(f)
+    U = max(1.0, (_B2_TAIL_SUP * x**3 / (1.5 * tol)) ** (1.0 / 3.0))
+    v = 1.0 / y
+    bulk = 0.0  # on about (U - 1)(1/x + 1/y) panels, U <= 2.8e3 x at tol 1e-12
+    for cuts in merged_breakpoint_blocks(x, y, 1.0 / U) if U > 1.0 else ():
+        lo = cuts[:-1]
+        hi = cuts[1:]
+        mid = 0.5 * (lo + hi)
+        n = np.floor(1.0 / (x * mid))
+        d = np.floor(v / mid) + 0.5
+        e = x * (n + 0.5)
+        # c_n - log lo is O(1): psi(n+1) and -log(x lo) both lie near log n
+        c = -(digamma(n + 1.0) + np.log(x * lo)) - 1.0
+        dz = hi - lo
+        L = np.log1p(dz / lo)
+        bulk += float(np.sum(d * (c * L - 0.5 * L * L + e * dz)
+                             - v * (((c - 1.0) * dz + lo * L) / (hi * lo) + e * L)))
+    return bulk - 0.5 * mixed_power_tail(U / x, x / y, tol)
 
 
 def i_eval(x: float, y: float, w: float, tol: float = 1e-8) -> float:

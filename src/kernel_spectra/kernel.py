@@ -65,8 +65,8 @@ def delta_r(a: float, b: float, r: float, tol: float = 1e-7,
     """
     if not (0.0 < a <= 1.0 and 0.0 < b <= 1.0):
         raise ValueError("delta_r requires a, b in (0, 1]")
-    if not r > -1.0:
-        raise ValueError(f"delta_r requires r > -1 (the integral may diverge), got {r}")
+    if not -1.0 < r < math.inf:
+        raise ValueError(f"delta_r requires r > -1 and finite (the integral may diverge), got {r}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"delta_r requires tol > 0 and finite, got {tol}")
     if not 1 <= cap < math.inf:

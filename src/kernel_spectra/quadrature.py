@@ -36,9 +36,9 @@ _MAX_ORDER = 64
 
 @lru_cache(maxsize=None)
 def _gauss_legendre_cached(order: int):
-    if not 1 <= order <= _MAX_ORDER:
-        raise ValueError(f"order must be in 1..{_MAX_ORDER}, got {order}")
-    return np.polynomial.legendre.leggauss(order)
+    if not (1 <= order <= _MAX_ORDER and order == int(order)):
+        raise ValueError(f"order must be an integer in 1..{_MAX_ORDER}, got {order!r}")
+    return np.polynomial.legendre.leggauss(int(order))
 
 
 def gauss_legendre(order: int):
@@ -46,9 +46,9 @@ def gauss_legendre(order: int):
 
     numpy's leggauss: against mpmath at 40 digits, nodes are within 1.2e-16
     and weights within 5e-15 for every order 1..64.  The nodes ascend and
-    are exactly symmetric.  order must be 1..64.
+    are exactly symmetric.  order must be an integer in 1..64.
     """
-    x, w = _gauss_legendre_cached(int(order))
+    x, w = _gauss_legendre_cached(order)
     return x.copy(), w.copy()
 
 
@@ -82,7 +82,7 @@ def composite_rule(boundaries, order: int) -> QuadratureRule:
         raise ValueError("boundaries must be a 1-d array with at least 2 entries")
     if not np.all(np.diff(b) > 0):
         raise ValueError("boundaries must be strictly increasing")
-    x, w = _gauss_legendre_cached(int(order))
+    x, w = _gauss_legendre_cached(order)
     lo = b[:-1, None]
     hi = b[1:, None]
     half = 0.5 * (hi - lo)

@@ -155,6 +155,10 @@ class TestLogFactorial:
             log_factorial(-1)
         with pytest.raises(ValueError):
             log_factorial(2.5)
+        # int(inf) would raise OverflowError and int(nan) a message without n
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="n must be"):
+                log_factorial(bad)
 
     @given(st.integers(min_value=0, max_value=5000))
     def test_monotone_and_matches_lgamma(self, n):

@@ -248,9 +248,11 @@ def _i0_order_swapped(x, y, eps=1e-4):
 
     int_0^x K2(z,y) dz = int_0^1 K(t,y) [int_0^x K(z,t) dz] dt, and the
     inner integral equals -(1/t) int_{1/(xt)}^inf B1~(u) u^-2 du exactly.
-    Its only shared piece with i0_eval is the pure tail engine: the t
-    integral is a plain quadrature, not a mixed tail.  Dropping (0, eps]
-    costs at most x^2 eps^2 / 12.
+    Its only shared piece with i0_eval is the pure tail engine (inside
+    i0_eval's mixed tail): the inner integral is a tail-engine call, not the
+    closed-form Phi, and the t integral a Gauss-8 quadrature on [eps, 1],
+    where i0_eval uses no quadrature at all.  Dropping (0, eps] costs at
+    most x^2 eps^2 / 12.
     """
     def f(t):
         inner = -_tilde_tail_vec(1, 2.0, 1.0 / (x * t), np.full_like(t, 1e-12)) / t
@@ -317,11 +319,27 @@ class TestI0:
             assert i0_eval(x, y, tol=1e-9) == pytest.approx(ref, abs=2e-9)
 
     def test_order_swapped_oracle(self):
-        # at x/y = 18 and 50 the series' mixed tail runs at alpha > 1; there
-        # the oracle drops (0, 5e-4], at most x^2 (5e-4)^2/12 <= 2.1e-8
+        # at x/y = 18 and 50 the mixed tail runs at alpha > 1; the oracle drops
+        # (0, eps], at most x^2 eps^2/12, and i0_eval is within tol = 1e-9
         for x, y, eps in [(1.0, 0.5, 1e-4), (0.3, 0.77, 1e-4), (0.9, 0.05, 5e-4), (1.0, 0.02, 5e-4)]:
             assert i0_eval(x, y, tol=1e-9) == pytest.approx(
-                _i0_order_swapped(x, y, eps), abs=5e-8)
+                _i0_order_swapped(x, y, eps), abs=1e-9 + x * x * eps * eps / 12.0)
+
+    def test_tight_tol_matches_parent(self):
+        # frozen at tol 1e-12 from the earlier route, which took the G part by
+        # a Gauss-12 u-quadrature with a certified tail window per node; both
+        # routes are certified to 1e-12, so they agree within 2e-12
+        for x, y, ref in [
+            (1.0, 0.02, 1.286540771216199e-04),
+            (0.5, 0.01, 1.6965322780035977e-05),
+            (0.77, 0.3, 2.4343599195365205e-04),
+        ]:
+            assert abs(i0_eval(x, y, tol=1e-12) - ref) <= 2e-12, (x, y)
+
+    def test_no_bulk_below_the_cutoff(self):
+        # _B2_TAIL_SUP x^3/(1.5 tol) < 1 here, so U = 1: no panel sum, only the halved mixed tail
+        x, y = 0.005, 0.02
+        assert i0_eval(x, y, 1e-8) == -0.5 * mixed_power_tail(1.0 / x, x / y, 1e-8)
 
     def test_seeded_within_tol_of_tight_reference(self):
         rng = np.random.default_rng(12)

@@ -199,8 +199,9 @@ class TestDeltaR:
         for cap in (0, -5, 0.5, math.nan, math.inf):
             with pytest.raises(ValueError, match="cap >= 1"):
                 delta_r(0.3, 0.7, 0.0, cap=cap)
-        with pytest.raises(ValueError, match="r > -1"):
-            delta_r(0.5, 0.3, math.nan)
+        for r in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="r > -1 and finite"):
+                delta_r(0.5, 0.3, r)
         with pytest.raises(ValueError, match="a, b in"):
             delta_r(math.nan, 0.3, 1.0)
 

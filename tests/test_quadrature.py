@@ -33,6 +33,12 @@ class TestGaussLegendre:
         for bad in (0, 65, -3):
             with pytest.raises(ValueError):
                 gauss_legendre(bad)
+        # int(2.5) would silently run order 2; nan and inf must fail by name too
+        for bad in (2.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="order must be an integer"):
+                gauss_legendre(bad)
+            with pytest.raises(ValueError, match="order must be an integer"):
+                composite_rule([0.0, 1.0], bad)
 
     def test_monomial_exactness_order16(self):
         # 16-point rule integrates monomials through degree 31 on [-1,1]
