@@ -14,11 +14,15 @@ three primitives:
   so B~n is a polynomial in m between wraps and each run sums to
   Hurwitz-zeta and digamma differences and a count; past a truncation M
   each class is compared with its integral, and the integrals cancel
-  across the classes by the multiplication theorem (_bn_series_vec);
+  across the classes by the multiplication theorem (_bn_series_vec).  The
+  convergents depend on beta alone: one table per beta array
+  (_convergent_table) serves every series summed at it;
 * the mixed tail int_A^inf B~2(t) B~1(alpha t) t^(-3) dt: two by-parts
   levels (_by_parts_level, one step against B~n/n that emits a boundary
-  term, a pure tail and a jump series; K2 is level 2 plus the mixed tail)
-  and a short certified window for what remains.
+  term, a pure tail and a jump series; K2 is level 2 plus the mixed tail,
+  its three series at one beta) and a certified window for what remains,
+  whose B~1 factor is split into a column-free part on integer panels and
+  one partial panel per jump (_remainder_windows).
 
 All public functions take an absolute tolerance and guarantee the returned
 value is within it.
@@ -254,18 +258,38 @@ def _convergents(beta: float) -> list:
     return out
 
 
-def _series_plans(n: int, s: int, beta: np.ndarray, m0: np.ndarray, tol: np.ndarray):
-    """Per column, the convergent with the fewest points and its truncation M.
+def _convergent_table(beta: np.ndarray) -> tuple:
+    """The convergents of every column as flat read-only arrays (column, p mod q, q, eps).
 
-    Returns (p mod q, q, eps, M, points).  M is the least m_max at which
-    each term of the tail certificate (see _bn_series_vec) is within
-    _TAIL_SHARE tol/3, never below m0 - 1 nor above _M_CAP; at eps = 0 it is
-    _M_CAP.  A class of m = r (mod q) has one run more than it has wraps,
-    so a column has about 2q + (M - m0 + 1)|eps| points.
+    One _convergents run per column; the table depends on beta alone, so
+    every series that sums at the same beta array shares it: the level-2
+    series of a K2 row and the two levels of its mixed tail sum at one beta
+    and find it in the one-entry cache of _table_of.
     """
-    cands = [_convergents(b) for b in beta.tolist()]
-    col = np.repeat(np.arange(beta.size), [len(c) for c in cands])
-    pm, q, eps = (np.array(v) for v in zip(*(c for cs in cands for c in cs)))
+    return _table_of(np.asarray(beta, dtype=float).tobytes())
+
+
+@lru_cache(maxsize=1)
+def _table_of(key: bytes) -> tuple:
+    cands = [_convergents(b) for b in np.frombuffer(key).tolist()]
+    col = np.repeat(np.arange(len(cands)), [len(c) for c in cands])
+    table = (col,) + tuple(np.array(v) for v in zip(*(c for cs in cands for c in cs)))
+    for v in table:
+        v.flags.writeable = False
+    return table
+
+
+def _series_plans(n: int, s: int, table: tuple, m0: np.ndarray, tol: np.ndarray):
+    """Per column, the convergent of table with the fewest points and its truncation M.
+
+    table is _convergent_table(beta); only M and the point count depend on
+    (n, s, m0, tol).  Returns (p mod q, q, eps, M, points).  M is the least
+    m_max at which each term of the tail certificate (see _bn_series_vec)
+    is within _TAIL_SHARE tol/3, never below m0 - 1 nor above _M_CAP; at
+    eps = 0 it is _M_CAP.  A class of m = r (mod q) has one run more than
+    it has wraps, so a column has about 2q + (M - m0 + 1)|eps| points.
+    """
+    col, pm, q, eps = table
     qf, e, m0c, tt = q.astype(float), np.abs(eps), m0[col], _TAIL_SHARE * tol[col] / 3.0
     a, c0, c1, cb, k, cc = _SERIES_TAIL[n]
     with np.errstate(divide="ignore"):
@@ -371,7 +395,7 @@ def _bn_series_vec(n: int, beta: np.ndarray, s: int, m_start: np.ndarray,
     the plans keep K small, and against mpmath the run sums of the plans in
     tests/test_tails.py::TestSpotTable are off by at most 1e-15.
     """
-    pm, q, eps, M, points = _series_plans(n, s, beta, m_start, tol)
+    pm, q, eps, M, points = _series_plans(n, s, _convergent_table(beta), m_start, tol)
     out = np.empty(beta.shape)
     for sl in _column_blocks(points, _POINT_BLOCK):
         out[sl] = _drift_class_sums(n, s, pm[sl], q[sl], eps[sl], m_start[sl], M[sl])
@@ -420,34 +444,43 @@ def _column_blocks(sizes: np.ndarray, cap: int):
 
 
 def _remainder_windows(A: float, T2: float, alpha: np.ndarray, m0: np.ndarray) -> np.ndarray:
-    """mixed_power_tail's R2 window over [A, T2] for every alpha_j.
+    """mixed_power_tail's window int_A^T2 B~4(t) B~1(alpha_j t) t^(-5) dt for every alpha_j.
 
-    Each column's panels are cut at the integers and at its own jumps
-    m/alpha_j and take _UNIT[8] (Gauss-8 on each half); cuts that coincide
-    leave zero-width panels, which carry zero weight.
+    T2 is an integer past A, and m0 = floor(alpha A) + 1.  On (A, T2)
+    floor(alpha t) is m0 - 1 plus the number of jumps tau = m/alpha,
+    m >= m0, at or below t, and B~1(alpha t) = alpha t - 1/2 - floor(alpha t), so
+
+        window = alpha I4 - (m0 - 1/2) I5 - sum_tau C(tau),
+
+    with I_q = int_A^T2 B~4(t) t^(-q) dt and C(t) = int_t^T2 B~4(s) s^(-5) ds.
+    I4, I5 and C at the edges A, floor A + 1, ..., T2 are column-free: one
+    _UNIT[16] panel per unit interval, once per call.  C(tau) is C at the
+    nearer edge of tau's interval plus one _UNIT[8] partial panel (Gauss-8
+    on each half) of width at most 1/2 between them, so a column costs
+    about alpha (T2 - A) panels.  Columns are summed whole, in blocks, so a
+    column's value does not depend on the others.
     """
-    k0, k1 = math.floor(A) + 1, math.ceil(T2) - 1
-    base = np.concatenate(([A, T2], np.arange(k0, k1 + 1, dtype=float)))
-    m_hi = np.floor(alpha * T2).astype(np.int64)
-    n_jump = np.maximum(m_hi - m0 + 1, 0)
-    out = np.zeros(alpha.shape)
-    # every cut adds a panel of 16 nodes
-    for sl in _column_blocks(base.size + n_jump, _SUM_BLOCK // 16):
-        al, cnt = alpha[sl], n_jump[sl]
-        ncol = al.size
-        col = np.repeat(np.arange(ncol), cnt)
+    k0 = math.floor(A) + 1
+    edges = np.concatenate(([A], np.arange(k0, T2 + 0.5)))
+    lo, width = edges[:-1], np.diff(edges)
+    t = lo[:, None] + width[:, None] * _UNIT[16].nodes
+    f = _bernoulli_poly(4, t - np.floor(lo)[:, None]) * t**-4 * _UNIT[16].weights
+    i4 = float(np.sum(width * f.sum(axis=1)))
+    C = np.append(np.cumsum((width * (f / t).sum(axis=1))[::-1])[::-1], 0.0)  # C at the edges
+    n_jump = np.maximum(np.floor(alpha * T2).astype(np.int64) - m0 + 1, 0)
+    out = alpha * i4 - (m0 - 0.5) * C[0]
+    for sl in _column_blocks(n_jump, _SUM_BLOCK // 16):  # a jump's panel has 16 nodes
+        cnt = n_jump[sl]
+        col = np.repeat(np.arange(cnt.size), cnt)
         m = np.arange(col.size) + np.repeat(m0[sl] - (np.cumsum(cnt) - cnt), cnt)
-        jumps = m.astype(float) / al[col]
-        inside = (A < jumps) & (jumps < T2)
-        cuts = np.concatenate((np.tile(base, ncol), jumps[inside]))
-        owner = np.concatenate((np.repeat(np.arange(ncol), base.size), col[inside]))
-        order = np.lexsort((cuts, owner))
-        cuts, owner = cuts[order], owner[order]
-        same = owner[1:] == owner[:-1]
-        lo, width, pc = cuts[:-1][same], np.diff(cuts)[same], owner[1:][same]
-        t = lo[:, None] + width[:, None] * _UNIT[8].nodes
-        f = bernoulli_tilde(4, t) * bernoulli_tilde(1, al[pc][:, None] * t) * t**-5
-        out[sl] = np.bincount(pc, weights=width * (f * _UNIT[8].weights).sum(axis=1), minlength=ncol)
+        tau = np.minimum(np.maximum(m / alpha[sl][col], A), T2)
+        k = np.minimum(np.maximum(np.ceil(tau), k0), T2)  # tau is in (k - 1, k], edge j is k
+        j = (k - k0).astype(np.int64) + 1
+        j -= tau - edges[j - 1] < k - tau
+        width = edges[j] - tau
+        t = tau[:, None] + width[:, None] * _UNIT[8].nodes
+        f = _bernoulli_poly(4, t - (k - 1.0)[:, None]) * t**-5 * _UNIT[8].weights
+        out[sl] -= np.bincount(col, weights=C[j] + width * f.sum(axis=1), minlength=cnt.size)
     return out
 
 
@@ -482,8 +515,9 @@ def mixed_power_tail(A: float, alpha, tol: float = 1e-11):
     sup|B~4 B~1| = 1/60 to tol/7.  The pure tails, B~3(A), B~4(A), T2 and
     the window's integer cuts depend on A and tol (and the pure tails on
     max alpha past 3) only and are computed once for every alpha.  The
-    windows run through _remainder_windows; a window has about alpha T2
-    jump cuts, so its cost grows like alpha T2.
+    windows run through _remainder_windows: its integer panels are shared
+    by every alpha, and a window costs one partial panel per jump of
+    B~1(alpha t) in (A, T2], about alpha (T2 - A) of them.
     """
     if not 1.0 <= A < math.inf:
         raise ValueError(f"mixed_power_tail requires A >= 1 and finite, got {A}")
@@ -495,9 +529,10 @@ def mixed_power_tail(A: float, alpha, tol: float = 1e-11):
     tol_i = tol / 7.0
     b1_at_edge = bernoulli_tilde(1, alpha * A)  # right-continuous at jumps
     m0 = np.floor(alpha * A).astype(np.int64) + 1  # first jump strictly past A
-    total = sum(_by_parts_level(n, A, alpha, 1.0 / alpha, b1_at_edge, m0, tol_i) for n in (3, 4))
+    beta = 1.0 / alpha  # both levels find its convergent table in one cache entry
+    total = sum(_by_parts_level(n, A, alpha, beta, b1_at_edge, m0, tol_i) for n in (3, 4))
 
-    # remainder window: cuts at the integers and at the B~1(alpha t) jumps
+    # remainder window out to T2, past which its crude tail is within tol_i
     T2 = max(int(math.ceil(A)) + 1, int(math.ceil((1.0 / (240.0 * tol_i)) ** 0.25)))
     total += _remainder_windows(A, float(T2), alpha, m0)
     return float(total[0]) if scalar else total

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kernel_spectra import tails
 from kernel_spectra.bernoulli import bernoulli_tilde
 from kernel_spectra.iterated import (
     DIAGONAL_BOUND,
@@ -132,6 +133,22 @@ class TestRouteAgreement:
         rng = np.random.default_rng(11)
         for x, y in rng.uniform(0.02, 1.0, size=(16, 2)).tolist():
             assert abs(k2_quadrature(x, y, ev) - k2_closed(x, y, ev)) <= 2.0 * ev.tol
+
+    def test_quadrature_rounding_floor(self):
+        # below min(x, y) = sqrt(2e-14/tol) the bulk's rounding nears tol
+        # (7.7e-8 at (1e-4, 1.01e-4), tol 1e-8): rejected by name; just above
+        # it, at the worst ratio y/x ~ 1.4, the quadrature still meets tol
+        for tol in (1e-7, 1e-8, 1e-11):
+            ev = K2Evaluator(tol=tol)
+            floor = math.sqrt(2e-14 / tol)
+            for x, y in ((0.98 * floor, 1.0), (0.5, 0.98 * floor)):
+                with pytest.raises(ValueError, match=r"min\(x, y\).*at tol.*got x"):
+                    k2_quadrature(x, y, ev)
+            assert k2_quadrature(0.0, 0.5 * floor, ev) == 0.0
+        ev = K2Evaluator(tol=1e-8)
+        x = 1.02 * math.sqrt(2e-14 / ev.tol)
+        exact = k2_closed(x, 1.37 * x, K2Evaluator(tol=1e-12))
+        assert abs(k2_quadrature(x, 1.37 * x, ev) - exact) <= ev.tol
 
     def test_quadrature_memory_bounded(self, traced_peak):
         # the rows of x = 0.002 and 0.00202 have 2.5e5 merged breakpoints
@@ -511,6 +528,22 @@ class TestBatchedRow:
         closed = k2_closed(x, x * beta, ev)
         assert abs(closed - k2_quadrature(x, x * beta, ev)) <= 2.0 * self.TOL
         self._assert_row_matches_scalar(x, np.array([x, x * beta]))
+
+    def test_one_euclid_per_column(self, monkeypatch):
+        # the level-2 series and both levels of the mixed tail sum at one
+        # beta, so a row runs the continued fraction once per column: a work
+        # count, where a timing would be flaky
+        calls = []
+        euclid = tails._convergents
+        monkeypatch.setattr(tails, "_convergents", lambda beta: calls.append(beta) or euclid(beta))
+        x = np.sort(uniform_rule(16, 4).nodes)
+        tails._table_of.cache_clear()
+        _k2_row(float(x[3]), x[3:], self.TOL)
+        assert len(calls) == x.size - 3
+        calls.clear()
+        tails._table_of.cache_clear()
+        k2_closed(0.3, 0.7, K2Evaluator(tol=self.TOL))
+        assert len(calls) == 1
 
     def test_rejects_bad_columns(self):
         with pytest.raises(ValueError):

@@ -492,6 +492,90 @@ class TestMixedPowerTail:
                 mixed_power_tail(2.0, np.array(alpha))
 
 
+def remainder_window_oracle(A, T2, alpha, m0):
+    """mixed_power_tail's window int_A^T2 B~4(t) B~1(alpha t) t^-5 dt on per-column panels: the window oracle.
+
+    The library's window before its B~1 factor was split: each column's
+    panels are cut at the integers and at its own jumps m/alpha, and take
+    tails._UNIT[8] (Gauss-8 on each half); cuts that coincide leave
+    zero-width panels, which carry zero weight.  Independent of the split
+    in tails._remainder_windows: B~1 is evaluated on every node.
+    """
+    k0, k1 = math.floor(A) + 1, math.ceil(T2) - 1
+    base = np.concatenate(([A, T2], np.arange(k0, k1 + 1, dtype=float)))
+    m_hi = np.floor(alpha * T2).astype(np.int64)
+    n_jump = np.maximum(m_hi - m0 + 1, 0)
+    out = np.zeros(alpha.shape)
+    # every cut adds a panel of 16 nodes
+    for sl in tails._column_blocks(base.size + n_jump, tails._SUM_BLOCK // 16):
+        al, cnt = alpha[sl], n_jump[sl]
+        ncol = al.size
+        col = np.repeat(np.arange(ncol), cnt)
+        m = np.arange(col.size) + np.repeat(m0[sl] - (np.cumsum(cnt) - cnt), cnt)
+        jumps = m.astype(float) / al[col]
+        inside = (A < jumps) & (jumps < T2)
+        cuts = np.concatenate((np.tile(base, ncol), jumps[inside]))
+        owner = np.concatenate((np.repeat(np.arange(ncol), base.size), col[inside]))
+        order = np.lexsort((cuts, owner))
+        cuts, owner = cuts[order], owner[order]
+        same = owner[1:] == owner[:-1]
+        lo, width, pc = cuts[:-1][same], np.diff(cuts)[same], owner[1:][same]
+        t = lo[:, None] + width[:, None] * tails._UNIT[8].nodes
+        f = bernoulli_tilde(4, t) * bernoulli_tilde(1, al[pc][:, None] * t) * t**-5
+        out[sl] = np.bincount(pc, weights=width * (f * tails._UNIT[8].weights).sum(axis=1),
+                              minlength=ncol)
+    return out
+
+
+def _window_args(A, alpha, tol):
+    """(T2, m0) of mixed_power_tail(A, alpha, tol)'s window."""
+    T2 = max(math.ceil(A) + 1, math.ceil((7.0 / (240.0 * tol)) ** 0.25))
+    return float(T2), np.floor(alpha * A).astype(np.int64) + 1
+
+
+class TestRemainderWindow:
+    # the window splits B~1(alpha t) = alpha t - 1/2 - floor(alpha t) into
+    # column-free integrals and one partial panel per jump
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+    def test_matches_window_oracle(self, tol):
+        alpha = np.geomspace(1e-3, 1e3, 25)
+        for A in (1.0, 2.3, 7.7, 50.2):
+            T2, m0 = _window_args(A, alpha, tol)
+            got = tails._remainder_windows(A, T2, alpha, m0)
+            ref = remainder_window_oracle(A, T2, alpha, m0)
+            assert np.max(np.abs(got - ref)) <= 1e-12, A
+
+    def test_matches_mpmath(self):
+        # on [1, 2] a full Gauss-8-on-halves panel is 2.5e-13 off for
+        # B~4 t^-5, which the oracle carries; the split window is within
+        # 1e-15 of a 25-digit reference cut at the integers and the jumps
+        A, T2 = 1.0, 6.0
+        for al in (0.1, 1.0, math.pi, 12.5):
+            m0 = math.floor(al * A) + 1
+            jumps = [m / al for m in range(m0, math.floor(al * T2) + 1)]
+            cuts = sorted({A, T2, *range(2, 6), *(j for j in jumps if A < j < T2)})
+            with mp.workdps(25):
+                def f(t):
+                    u = t - mp.floor(t)
+                    return ((u**4 - 2 * u**3 + u**2 - mp.mpf(1) / 30)
+                            * (al * t - mp.floor(al * t) - mp.mpf(1) / 2) * t**-5)
+                ref = sum(mp.quad(f, [a, (a + b) / 2, b]) for a, b in zip(cuts[:-1], cuts[1:]))
+            got = tails._remainder_windows(A, T2, np.array([al]), np.array([m0]))[0]
+            assert abs(got - float(ref)) <= 1e-15, al
+
+    def test_one_column_equals_its_column_of_200(self):
+        # 200 columns, whose jumps fill dozens of blocks, against one-column calls
+        alpha = np.geomspace(1e-3, 100.0, 200)
+        np.random.default_rng(200).shuffle(alpha)
+        A = 2.3
+        T2, m0 = _window_args(A, alpha, 1e-8)
+        row = tails._remainder_windows(A, T2, alpha, m0)
+        for j in range(alpha.size):
+            one = tails._remainder_windows(A, T2, alpha[j:j + 1], m0[j:j + 1])
+            assert one[0] == row[j], j
+
+
 class TestKernelMoment:
     def test_direct_quadrature_oracle(self):
         for x in (0.3, 0.7, 1.0):
