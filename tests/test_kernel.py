@@ -47,6 +47,46 @@ class TestKEval:
         assert k_eval(0.3, 0.8) == k_eval(np.array(0.3), np.array(0.8))
         assert isinstance(k_eval(0.3, 0.8), float)
 
+    @staticmethod
+    def reference(x, y):
+        p = np.multiply(x, y)
+        with np.errstate(divide="ignore"):
+            u = np.where(p > 0, 1.0 / np.where(p > 0, p, 1.0), 0.0)
+        return np.where(p > 0, 0.5 - (u - np.floor(u)), 0.0)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_matches_reference_expression(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, 1.0, (37, 1))
+        y = rng.uniform(0.0, 1.0, 53)
+        # zero rows and columns, 1/xy an integer (powers of two, 1/3, 1/7),
+        # and xy underflowing to zero off the axes
+        x[[0, 9], 0] = 0.0
+        y[[4, 40]] = 0.0
+        x[1:6, 0] = (1.0, 0.5, 0.25, 1.0 / 3.0, 1e-200)
+        y[5:10] = (1.0, 0.125, 1.0 / 7.0, 1.0 / 3.0, 1e-200)
+        for a, b in ((x, y), (y, x), (x[:, 0], y[:37]), (x, y[:, None].T)):
+            got = k_eval(a, b)
+            assert got.shape == np.broadcast_shapes(np.shape(a), np.shape(b))
+            assert np.array_equal(got, self.reference(a, b))
+        for a, b in ((x[3, 0], y[5]), (x[0, 0], y[1]), (x[7, 0], y[40]), (1.0, 0.25), (0.0, 0.0)):
+            assert k_eval(a, b) == self.reference(a, b)
+            assert k_eval(np.array(a), b) == self.reference(a, b)
+
+    def test_empty_inputs(self):
+        assert k_eval(np.empty(0), 0.5).shape == (0,)
+        assert k_eval(np.empty((0, 1)), np.linspace(0.0, 1.0, 5)).shape == (0, 5)
+
+    def test_arguments_not_written(self):
+        x = np.linspace(0.0, 1.0, 31)[:, None]
+        y = np.linspace(0.0, 1.0, 17)
+        x_copy, y_copy = x.copy(), y.copy()
+        x.flags.writeable = False
+        y.flags.writeable = False
+        k_eval(x, y)
+        k_eval(y, y)  # equal shapes: the output could alias an argument
+        assert np.array_equal(x, x_copy) and np.array_equal(y, y_copy)
+
 
 class TestHEval:
     def test_point_values(self):
@@ -57,6 +97,9 @@ class TestHEval:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             h_eval(-0.01)
+        for v in (math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(ValueError, match="v >= 0"):
+                h_eval(v)
 
     def test_matches_row_of_k(self):
         v = np.linspace(0.0, 8.0, 500)
@@ -143,6 +186,16 @@ class TestDeltaR:
         v = delta_r(a, b, r)
         low = delta_r(a, b, r, cap=2_000_000) - v
         assert 0.5e-7 < low and low + bound(2_000_000) <= bound(100_000)
+
+    @pytest.mark.parametrize("r", [1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6])
+    @pytest.mark.parametrize("a, b", [(0.01, 0.02), (0.3, 0.7), (0.9, 0.11)])
+    def test_small_r_near_r_zero(self, a, b, r):
+        # d/dr of the integral is int |K(a,z) - K(b,z)| z^r log z, at most
+        # int z^r |log z| = 1/(r+1)^2 in modulus, and the cap sets z0 here
+        # alike for every r; z^r/r read 123.8 at (0.01, 0.02, 1e-12)
+        v = delta_r(a, b, r)
+        assert 0.0 <= v <= 1.0 / (r + 1.0)
+        assert abs(v - delta_r(a, b, 0.0)) <= abs(r) / (r + 1.0) ** 2 + 1e-9
 
     def test_memory_bounded(self, traced_peak):
         # the default cap's 1e5 merged breakpoints, summed a block at a time

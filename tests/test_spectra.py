@@ -54,6 +54,14 @@ class TestAssemble:
         with pytest.raises(ValueError, match="matrix is 2x2 but the grid has 3 nodes"):
             DiscretizedOperator(grid=uniform_rule(3, 1), matrix=np.eye(2))
 
+    def test_memory_bounded(self, traced_peak):
+        # the kernel array and k_eval's floor, then that array and its
+        # symmetrized sum: 2 N^2 doubles
+        rule = uniform_rule(128, 4)
+        n = rule.nodes.size
+        _, peak = traced_peak(assemble, rule)
+        assert peak < 2.5 * n * n * 8
+
 
 class TestEigensolve:
     def test_identity_matrix(self):
@@ -267,6 +275,62 @@ class TestEigenfunction:
     def test_grid_mismatch(self, spec256):
         with pytest.raises(ValueError):
             eigenfunction(spec256, 1, uniform_rule(4, 2))
+
+
+class TestEvaluate:
+    @staticmethod
+    def one_shot(h, x):
+        return h.eigenvalue * (k_eval(x[..., None], h.grid.nodes) @ (h.grid.weights * h.node_values))
+
+    def test_blocked_equals_one_shot(self, spec256, rule256):
+        # 2000 points are 15 blocks of 128 rows and one of 80; a multiple of
+        # 16, so at 1, 2 or 4 BLAS threads every row of either product lies
+        # in one of BLAS's groups of four rows, summed the same way
+        h = eigenfunction(spec256, 2, rule256)
+        x = np.random.default_rng(11).uniform(0.0, 1.0, 2000)
+        x[[0, 1000]] = (0.0, 1.0)
+        assert np.array_equal(evaluate(h, x), self.one_shot(h, x))
+        grid = x.reshape(40, 50)
+        got = evaluate(h, grid)
+        assert got.shape == (40, 50)
+        assert np.array_equal(got, evaluate(h, x).reshape(40, 50))
+
+    def test_blocked_within_rounding_of_one_shot(self, spec256, rule256):
+        # 2001 points: BLAS sums a row left over from its groups of four in
+        # another order, so a row may differ in the last bits from the
+        # one-shot product, by at most the rounding bounds of two n-term dot
+        # products and of the products with lambda
+        h = eigenfunction(spec256, 2, rule256)
+        x = np.random.default_rng(12).uniform(0.0, 1.0, 2001)
+        coeff = h.grid.weights * h.node_values
+        n = h.grid.nodes.size
+        bound = 2.0 * (n + 2) * np.finfo(float).eps * abs(h.eigenvalue) * (
+            np.abs(k_eval(x[:, None], h.grid.nodes)) @ np.abs(coeff))
+        assert np.all(np.abs(evaluate(h, x) - self.one_shot(h, x)) <= bound)
+
+    def test_scalar_and_empty(self, spec256, rule256):
+        h = eigenfunction(spec256, 3, rule256)
+        v = evaluate(h, np.float64(0.61))
+        assert isinstance(v, float)
+        assert v == self.one_shot(h, np.array(0.61))
+        for x in (np.empty(0), np.empty((3, 0))):
+            assert evaluate(h, x).shape == x.shape
+
+    def test_bad_x_fails_before_any_block(self, spec256, rule256, monkeypatch):
+        h = eigenfunction(spec256, 1, rule256)
+        calls = []
+        monkeypatch.setattr("kernel_spectra.spectra.k_eval", lambda *a: calls.append(a))
+        for x in (1.5, -0.1, math.nan, np.array([0.5, math.nan]), np.full(3000, 2.0)):
+            with pytest.raises(ValueError, match="x in"):
+                evaluate(h, x)
+        assert calls == []
+
+    def test_memory_bounded(self, spec256, rule256, traced_peak):
+        # one block of 128 kernel rows and its floor (2 x 256 KB) plus the
+        # 160 KB result; a kernel matrix of all 20000 points would be 41 MB
+        h = eigenfunction(spec256, 1, rule256)
+        _, peak = traced_peak(evaluate, h, np.linspace(0.0, 1.0, 20_000))
+        assert peak < 2e6
 
 
 class TestGridRefinement:
