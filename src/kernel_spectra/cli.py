@@ -11,8 +11,10 @@ measurements and the wall time of each step.
 runs the iterated-kernel cross-check on the same grid and prints its
 record: the first kernel eigenvalues, their relative discrepancies against
 the iterated-kernel matrix eigenvalues, that matrix's gate residual, the
-Hilbert-Schmidt norm, and the wall time of the matrix fill and of its
-eigensolve.  ``python -m kernel_spectra.cli`` runs the same commands.
+Hilbert-Schmidt norm, the wall time of the matrix fill and of its
+eigensolve, and k2_fill_workers, the number of processes that filled the
+matrix in row stripes (1 when the fill ran in-process).
+``python -m kernel_spectra.cli`` runs the same commands.
 
 Both records end with ``env``: numpy's BLAS library, the BLAS thread
 variables (null when unset) and the usable CPUs, on which the last digits
@@ -78,6 +80,7 @@ def _k2_record(n: int) -> dict:
         "residual": xc.residual,
         "hs_norm_sq": xc.hs_norm_sq,
         "k2_fill_s": xc.fill_s,
+        "k2_fill_workers": xc.fill_workers,
         "eigensolve_s": xc.eigensolve_s,
         "env": _environment(),
     }

@@ -18,12 +18,17 @@ from .quadrature import merged_breakpoint_blocks
 
 __all__ = ["k_eval", "h_eval", "delta_r"]
 
+# K = 1/2 for every xy at or below this (1/xy is an integer there)
+_XY_FLOOR = 2.0**-53
+
 
 def k_eval(x, y):
     """K(x, y) for x, y in [0, 1]; zero on the axes.
 
     Scalars or broadcastable arrays.  Values lie in (-1/2, 1/2] and the
     evaluation is right-continuous in 1/xy at integers (K = 1/2 there).
+    Every float 1/xy >= 2^53 is an integer, so K = 1/2 for 0 < xy <= 2^-53,
+    a subnormal xy included.
 
     One output array of the broadcast shape is written in place: xy, its
     reciprocal u, u - floor(u), then 1/2 minus that.  Besides the output
@@ -43,10 +48,14 @@ def k_eval(x, y):
     out = np.multiply(x, y, out=np.empty(np.broadcast(x, y).shape))
     # xy is zero on the axes, and it can underflow to zero next to them only
     # when x_lo * y_lo does; those entries are marked before the reciprocal
-    zero = out == 0.0 if x_lo * y_lo == 0.0 else None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(1.0, out, out=out)
-        out -= np.floor(out)
+    xy_lo = x_lo * y_lo
+    zero = out == 0.0 if xy_lo == 0.0 else None
+    # raising xy to 2^-53 keeps K = 1/2 and 1/xy finite (a subnormal xy
+    # would overflow it); rounding is monotone, so no xy lies below x_lo * y_lo
+    if xy_lo < _XY_FLOOR:
+        np.maximum(out, _XY_FLOOR, out=out)
+    np.divide(1.0, out, out=out)
+    out -= np.floor(out)
     np.subtract(0.5, out, out=out)
     if zero is not None:
         out[zero] = 0.0

@@ -9,7 +9,13 @@ import pytest
 
 from kernel_spectra.cli import main
 from kernel_spectra.quadrature import uniform_rule
-from kernel_spectra.spectra import K2_EIGEN_TOL, assemble, cross_validate_k2, eigensolve
+from kernel_spectra.spectra import (
+    _ROWS_PER_WORKER,
+    K2_EIGEN_TOL,
+    assemble,
+    cross_validate_k2,
+    eigensolve,
+)
 
 
 def _assert_env(env):
@@ -59,6 +65,8 @@ def test_k2_json_matches_library(capsys):
     assert record["hs_norm_sq"] == xc.hs_norm_sq
     assert 0.0 <= record["residual"] <= K2_EIGEN_TOL
     assert record["k2_fill_s"] > 0.0 and record["eigensolve_s"] > 0.0
+    assert record["k2_fill_workers"] == xc.fill_workers
+    assert record["k2_fill_workers"] == min(record["env"]["cpus"], 16 // _ROWS_PER_WORKER)
     _assert_env(record["env"])
 
 
@@ -67,7 +75,7 @@ def test_k2_text_output(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == [
         "n", "count", "eigenvalues", "rel_discrepancies", "residual", "hs_norm_sq",
-        "k2_fill_s", "eigensolve_s", "env",
+        "k2_fill_s", "k2_fill_workers", "eigensolve_s", "env",
     ]
 
 

@@ -22,6 +22,17 @@ class TestKEval:
         assert k_eval(0.5, 0.5) == 0.5
         assert k_eval(1.0, 0.25) == 0.5
 
+    def test_tiny_products(self):
+        # xy = 1e-310 is subnormal and 1/xy overflows: K = 1/2 there, as for
+        # every 1/xy >= 2^53; xy = 1e-400 underflows to zero, where K = 0
+        x = (1e-160, 1e-160, 1e-200)
+        y = (1e-150, 1e-140, 1e-200)
+        expected = [0.5, 0.5, 0.0]
+        # underflow to a subnormal or to zero is expected; nothing else is
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            assert [k_eval(a, b) for a, b in zip(x, y)] == expected
+            assert np.array_equal(k_eval(np.array(x), np.array(y)), expected)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             k_eval(-0.1, 0.5)

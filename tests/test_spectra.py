@@ -1,16 +1,23 @@
 import math
+import os
+import sys
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from kernel_spectra import spectra
 from kernel_spectra.iterated import K2Evaluator, k2_closed, k2_diag_exact
 from kernel_spectra.kernel import k_eval
 from kernel_spectra.quadrature import QuadratureRule, uniform_rule
 from kernel_spectra.spectra import (
+    _ROWS_PER_WORKER,
     K2_EIGEN_TOL,
     DiscretizedOperator,
     Spectrum,
+    _assemble_k2,
+    _fill_workers,
     _gated_eigh,
     _modulus_order,
     assemble,
@@ -363,6 +370,83 @@ class TestCrossValidation:
         assert np.all(
             xcheck256.trace_partial_sums[:40] <= xcheck256.hs_norm_sq + 1e-6
         )
+
+
+def _use_cores(monkeypatch, count):
+    monkeypatch.setattr(spectra.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestK2Stripes:
+    @pytest.fixture(scope="class", params=[64, 128])
+    def in_process(self, request):
+        rule = uniform_rule(request.param // 4, 4)
+        with pytest.MonkeyPatch.context() as patch:
+            _use_cores(patch, 1)
+            m, workers = _assemble_k2(rule, 1e-7)
+        assert workers == 1
+        return rule, m
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_stripes_bit_identical(self, monkeypatch, in_process, workers):
+        rule, reference = in_process
+        _use_cores(monkeypatch, workers)
+        m, used = _assemble_k2(rule, 1e-7)
+        assert used == workers
+        assert np.array_equal(m, reference)
+        _assert_no_child_left()
+
+    def test_worker_count(self, monkeypatch):
+        _use_cores(monkeypatch, 4)
+        assert _fill_workers(2 * _ROWS_PER_WORKER - 1) == 1
+        assert _fill_workers(3 * _ROWS_PER_WORKER) == 3
+        assert _fill_workers(100 * _ROWS_PER_WORKER) == 4
+        daemon = SimpleNamespace(current_process=lambda: SimpleNamespace(daemon=True))
+        with monkeypatch.context() as m:
+            m.setitem(sys.modules, "multiprocessing", daemon)
+            assert _fill_workers(100 * _ROWS_PER_WORKER) == 1
+        monkeypatch.delattr(spectra.os, "fork")
+        assert _fill_workers(100 * _ROWS_PER_WORKER) == 1
+
+    def test_cross_check_records_workers(self, monkeypatch):
+        rule = uniform_rule(4, 4)
+        _use_cores(monkeypatch, 2)
+        xc = cross_validate_k2(rule, count=3)
+        assert xc.fill_workers == 2
+        _use_cores(monkeypatch, 1)
+        assert cross_validate_k2(rule, count=3).fill_workers == 1
+
+    @staticmethod
+    def _row_raising_at(monkeypatch, row, n):
+        """_k2_row raising ValueError on sorted row `row` of an n-node fill."""
+        real = spectra._k2_row
+
+        def k2_row(x, ys, tol):
+            if ys.size == n - row:
+                raise ValueError(f"row {row}")
+            return real(x, ys, tol)
+
+        monkeypatch.setattr(spectra, "_k2_row", k2_row)
+
+    def test_failed_worker_raises(self, monkeypatch):
+        rule = uniform_rule(8, 4)
+        _use_cores(monkeypatch, 2)
+        self._row_raising_at(monkeypatch, 3, rule.nodes.size)  # stripe 1
+        with pytest.raises(RuntimeError, match="K2 fill worker 1 of 2 exited with status 1"):
+            _assemble_k2(rule, 1e-7)
+        _assert_no_child_left()
+
+    def test_raise_in_own_stripe_reaps_children(self, monkeypatch):
+        rule = uniform_rule(8, 4)
+        _use_cores(monkeypatch, 3)
+        self._row_raising_at(monkeypatch, 0, rule.nodes.size)  # stripe 0
+        with pytest.raises(ValueError, match="row 0"):
+            _assemble_k2(rule, 1e-7)
+        _assert_no_child_left()
 
 
 class TestTraceFormula:
