@@ -9,6 +9,7 @@ boundaries, which is what keeps kernel evaluations off the jump set.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -93,7 +94,14 @@ def composite_rule(boundaries, order: int) -> QuadratureRule:
 
 def uniform_rule(n_panels: int = DEFAULT_PANELS, order: int = DEFAULT_ORDER,
                  lo: float = 0.0, hi: float = 1.0) -> QuadratureRule:
-    """Uniform-panel composite rule on [lo, hi]; defaults give the 256-node grid."""
+    """Uniform-panel composite rule on [lo, hi]; defaults give the 256-node grid.
+
+    n_panels must be an integer >= 1, and lo < hi both finite.
+    """
+    if not (isinstance(n_panels, numbers.Integral) and n_panels >= 1):
+        raise ValueError(f"n_panels must be an integer >= 1, got {n_panels!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"lo and hi must be finite with lo < hi, got lo = {lo}, hi = {hi}")
     return composite_rule(np.linspace(lo, hi, n_panels + 1), order)
 
 

@@ -17,33 +17,36 @@ spectra across runs with == only with it pinned.
 cross_validate_k2 fills the iterated-kernel matrix in row stripes on every
 usable core: with W = min(usable cores, N // _ROWS_PER_WORKER) processes,
 stripe k holds the rows i = k mod W of the sorted nodes.  This process
-computes stripe 0 and a child made by os.fork each other stripe, which it
-sends back through a pipe.  Every entry is still one _k2_row call on the
-same inputs, a pure function of them, so the matrix and its eigenvalues
-are bit-identical for any W.  W = 1 runs the same loop in-process, with no
-fork: below 2 _ROWS_PER_WORKER nodes, on one usable core, where os.fork or
-os.sched_getaffinity does not exist, and inside a daemonic multiprocessing
-worker.  The fork happens in a process that may hold OpenBLAS threads
-(OpenBLAS stops its pool across a fork and restarts it on its next call),
-so Python >= 3.12 may emit a DeprecationWarning for a fork in a
-multi-threaded process.
+computes stripe 0, and a ProcessPoolExecutor of W - 1 forked workers the
+others.  Every entry is still one _k2_row call on the same inputs, a pure
+function of them, so the matrix and its eigenvalues are bit-identical for
+any W.  A stripe's exception is raised in the caller as the worker raised
+it, a worker that dies without raising is a BrokenProcessPool (a
+RuntimeError), and no worker outlives the fill; a raise in stripe 0 still
+waits for the running stripes, as the pool's shutdown does.  W = 1 runs
+the same loop in-process, with no pool: below 2 _ROWS_PER_WORKER nodes, on
+one usable core, where the os module has no fork or sched_getaffinity,
+and inside a daemonic multiprocessing worker.  The fork happens in a
+process that may hold OpenBLAS threads (OpenBLAS stops its pool across a
+fork and restarts it on its next call), so Python >= 3.12 may emit a
+DeprecationWarning for a fork in a multi-threaded process.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 import numbers
 import os
-import sys
 import time
-import traceback
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 # k2_closed (one entry of the K2 fill, unused here) stays importable from
 # here: bench/test_bench.py checks that the span tracer wraps it in this module
-from .iterated import K2Evaluator, _k2_row, k2_closed, k2_diag_exact  # noqa: F401
+from .iterated import _k2_row, k2_closed, k2_diag_exact  # noqa: F401
 from .kernel import k_eval
 from .quadrature import QuadratureRule
 
@@ -74,10 +77,12 @@ _EVAL_BLOCK = 1 << 15
 # is ~1e-18 and its orthogonality defect ~1e-15
 K2_EIGEN_TOL = 1e-12
 
-# fewest K2 rows per fill process.  A fork round trip costs 7-16 ms and a
-# row 3-14 ms (N = 8..128); a 16-row fill took 36 ms in two processes and
-# 53 ms in one.  A fill of fewer than 2 _ROWS_PER_WORKER rows, the 8-node
-# bench warm-up among them, stays in-process
+# fewest K2 rows per fill process.  A fork pool's round trip costs 6-9 ms
+# and a row 2-14 ms (N = 16..128); medians over 31 alternating fills on 2
+# cores: 16 rows 29-42 ms in one process and 33-43 ms in two (break-even),
+# 32 rows 73-80 ms in one and 58-64 ms in two.  A fill of fewer than
+# 2 _ROWS_PER_WORKER rows, the 8-node bench warm-up among them, stays
+# in-process
 _ROWS_PER_WORKER = 8
 
 
@@ -341,77 +346,31 @@ class K2CrossCheck:
 def _fill_workers(n: int) -> int:
     """Processes for an n-row K2 fill: min(usable cores, n // _ROWS_PER_WORKER), at least 1.
 
-    1 where os.fork or os.sched_getaffinity does not exist, and inside a
+    1 where the os module has no fork or sched_getaffinity, and inside a
     daemonic multiprocessing worker, whose pool already spreads the cores.
     """
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    # a multiprocessing worker has the module loaded; it is not imported here
-    mp = sys.modules.get("multiprocessing")
-    if mp is not None and mp.current_process().daemon:
+    if multiprocessing.current_process().daemon:
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), n // _ROWS_PER_WORKER))
 
 
-def _k2_rows(x: np.ndarray, tol: float, workers: int) -> list[np.ndarray]:
-    """Rows _k2_row(x[i], x[i:], tol) of ascending nodes x, in row stripes over workers processes.
+def _stripe(x: np.ndarray, tol: float, k: int, workers: int) -> list[np.ndarray]:
+    """Rows _k2_row(x[i], x[i:], tol) of ascending nodes x for i = k mod workers."""
+    return [_k2_row(float(x[i]), x[i:], tol) for i in range(k, x.size, workers)]
 
-    Stripe k holds the rows i = k mod workers.  This process computes
-    stripe 0; stripe k >= 1 goes to a forked child, which writes its rows'
-    concatenated float64 values to a pipe and leaves by os._exit.  The
-    pipes are read once stripe 0 is done; then every read end is closed
-    and every child reaped, also when a stripe raised, so no child outlives
-    the call.  A child that exits with a non-zero status is a RuntimeError
-    naming the worker.
-    """
-    n = x.size
-    rows: list[np.ndarray | None] = [None] * n
-    children = []  # (worker, pid, read end)
-    try:
-        for k in range(1, workers):
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                raise
-            if pid == 0:
-                code = 1
-                try:
-                    for _, _, fd in children:
-                        os.close(fd)
-                    os.close(read_end)
-                    stripe = [_k2_row(float(x[i]), x[i:], tol) for i in range(k, n, workers)]
-                    with open(write_end, "wb") as pipe:
-                        pipe.write(np.concatenate(stripe).tobytes())
-                    code = 0
-                except BrokenPipeError:
-                    pass  # the parent closed the pipe unread: it is raising already
-                except BaseException:
-                    traceback.print_exc()
-                finally:
-                    os._exit(code)
-            os.close(write_end)
-            children.append((k, pid, read_end))
-        for i in range(0, n, workers):
-            rows[i] = _k2_row(float(x[i]), x[i:], tol)
-        received = []
-        for k, _, fd in children:
-            with open(fd, "rb", closefd=False) as pipe:
-                received.append((k, pipe.read()))
-    finally:
-        for _, _, fd in children:
-            os.close(fd)
-        codes = [(k, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])) for k, pid, _ in children]
-    for k, code in codes:
-        if code != 0:
-            raise RuntimeError(f"K2 fill worker {k} of {workers} exited with status {code}")
-    for k, data in received:
-        stripe = range(k, n, workers)
-        ends = np.cumsum([n - i for i in stripe])[:-1]
-        for i, row in zip(stripe, np.split(np.frombuffer(data), ends)):
-            rows[i] = row
+
+def _k2_rows(x: np.ndarray, tol: float, workers: int) -> list[np.ndarray]:
+    """The rows of every _stripe: stripe 0 here, the others in a fork pool (module docstring)."""
+    if workers == 1:
+        return _stripe(x, tol, 0, 1)
+    rows = [None] * x.size
+    with ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+        stripes = [pool.submit(_stripe, x, tol, k, workers) for k in range(1, workers)]
+        rows[::workers] = _stripe(x, tol, 0, workers)
+        for k, stripe in enumerate(stripes, 1):
+            rows[k::workers] = stripe.result()
     return rows
 
 
@@ -419,15 +378,9 @@ def _assemble_k2(grid: QuadratureRule, kernel_tol: float) -> tuple[np.ndarray, i
     """The weighted K2 Nystrom matrix on the grid, and the number of processes that filled it.
 
     Row i of the upper triangle (nodes sorted, x[i] the row's minimum) is
-    one batched _k2_row call.  The rows are filled in _fill_workers(N)
-    interleaved stripes, stripe k the rows i = k mod W, by this process and
-    forked children (_k2_rows); with W = 1, in-process with no fork.  Every
-    entry is the same _k2_row call on the same inputs whatever the split,
-    so the matrix is bit-identical for any W.  Python >= 3.12 may emit a
-    DeprecationWarning for the fork in a process that holds OpenBLAS
-    threads.
+    one batched _k2_row call, filled in _fill_workers(N) row stripes (see
+    the module docstring).  kernel_tol is the caller's to check.
     """
-    K2Evaluator(tol=kernel_tol)  # rejects a tol outside (0, 1)
     order = np.argsort(grid.nodes, kind="stable")
     x = grid.nodes[order]
     n = x.size
@@ -454,15 +407,14 @@ def cross_validate_k2(
     direct eigensolve.  count (>= 1) is capped at the available pairs.
 
     The iterated-kernel matrix is filled in row stripes by fill_workers
-    processes, this one and forked children (see the module docstring).
-    Each entry is the same _k2_row call whatever the split, so the values
-    are bit-identical to the in-process fill that runs when fill_workers is
-    1: on one usable core, below 2 _ROWS_PER_WORKER nodes, without os.fork,
-    or in a daemonic multiprocessing worker.  Python >= 3.12 may emit a
-    DeprecationWarning for the fork in a process that holds OpenBLAS
-    threads.  A child that fails is a RuntimeError naming it, and no child
-    outlives the call.
+    processes; the values are bit-identical to the in-process fill whatever
+    their number (see the module docstring).  kernel_tol, the absolute
+    target of one matrix entry, must be in (0, 1).
     """
+    if not 0.0 < kernel_tol < 1.0:
+        raise ValueError(f"kernel_tol must be in (0, 1), got {kernel_tol}")
+    if not isinstance(count, numbers.Integral):
+        raise ValueError(f"count must be an integer, got {count!r}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if spectrum is None:

@@ -146,6 +146,20 @@ class TestCompositeRule:
         assert len(rule.panels) == DEFAULT_PANELS + 1
         assert rule.nodes.size == DEFAULT_PANELS * DEFAULT_ORDER
 
+    @pytest.mark.parametrize("n_panels", [0, -3, 2.5, "4"])
+    def test_uniform_rejects_bad_panel_count(self, n_panels):
+        with pytest.raises(ValueError, match="n_panels must be an integer >= 1"):
+            uniform_rule(n_panels)
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 0.0), (0.5, 0.5), (0.0, math.nan),
+                                        (math.nan, 1.0), (-math.inf, 1.0), (0.0, math.inf)])
+    def test_uniform_rejects_bad_interval(self, lo, hi):
+        with pytest.raises(ValueError, match="lo and hi must be finite with lo < hi"):
+            uniform_rule(4, 2, lo=lo, hi=hi)
+
+    def test_uniform_accepts_numpy_integer_panels(self):
+        assert uniform_rule(np.int64(3), 2).nodes.size == 6
+
 
 class TestKernelBreakpoints:
     def test_example_x1(self):

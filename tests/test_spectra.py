@@ -1,6 +1,6 @@
 import math
 import os
-import sys
+import threading
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -357,10 +357,21 @@ class TestCrossValidation:
     def test_k2_gate_residual_within_tol(self, xcheck256):
         assert 0.0 <= xcheck256.residual <= K2_EIGEN_TOL
 
-    @pytest.mark.parametrize("count", [0, -3])
+    @pytest.mark.parametrize("count", [0, -3, 2.5])
     def test_rejects_nonpositive_count(self, rule256, spec256, count):
-        with pytest.raises(ValueError, match="count must be >= 1"):
+        expected = "count must be an integer" if count == 2.5 else "count must be >= 1"
+        with pytest.raises(ValueError, match=expected):
             cross_validate_k2(rule256, count=count, spectrum=spec256)
+
+    @pytest.mark.parametrize("kernel_tol", [0.0, 2.0, math.nan])
+    def test_rejects_bad_kernel_tol_first(self, monkeypatch, kernel_tol):
+        def unreachable(*args):
+            raise AssertionError("kernel_tol was not checked first")
+
+        monkeypatch.setattr(spectra, "assemble", unreachable)
+        monkeypatch.setattr(spectra, "_assemble_k2", unreachable)
+        with pytest.raises(ValueError, match=r"kernel_tol must be in \(0, 1\)"):
+            cross_validate_k2(uniform_rule(4, 4), count=0, kernel_tol=kernel_tol)
 
     def test_iterated_matrix_psd(self, xcheck256):
         assert float(xcheck256.k2_matrix_eigenvalues.min()) >= -1e-10
@@ -376,9 +387,11 @@ def _use_cores(monkeypatch, count):
     monkeypatch.setattr(spectra.os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
-def _assert_no_child_left():
+def _assert_no_child_left(threads):
+    """No child process is left, and the thread count is back to `threads`."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert threading.active_count() == threads
 
 
 class TestK2Stripes:
@@ -395,10 +408,11 @@ class TestK2Stripes:
     def test_stripes_bit_identical(self, monkeypatch, in_process, workers):
         rule, reference = in_process
         _use_cores(monkeypatch, workers)
+        threads = threading.active_count()
         m, used = _assemble_k2(rule, 1e-7)
         assert used == workers
         assert np.array_equal(m, reference)
-        _assert_no_child_left()
+        _assert_no_child_left(threads)
 
     def test_worker_count(self, monkeypatch):
         _use_cores(monkeypatch, 4)
@@ -407,7 +421,7 @@ class TestK2Stripes:
         assert _fill_workers(100 * _ROWS_PER_WORKER) == 4
         daemon = SimpleNamespace(current_process=lambda: SimpleNamespace(daemon=True))
         with monkeypatch.context() as m:
-            m.setitem(sys.modules, "multiprocessing", daemon)
+            m.setattr(spectra.multiprocessing, "current_process", daemon.current_process)
             assert _fill_workers(100 * _ROWS_PER_WORKER) == 1
         monkeypatch.delattr(spectra.os, "fork")
         assert _fill_workers(100 * _ROWS_PER_WORKER) == 1
@@ -421,13 +435,15 @@ class TestK2Stripes:
         assert cross_validate_k2(rule, count=3).fill_workers == 1
 
     @staticmethod
-    def _row_raising_at(monkeypatch, row, n):
-        """_k2_row raising ValueError on sorted row `row` of an n-node fill."""
+    def _row_raising_at(monkeypatch, row, n, fail=None):
+        """_k2_row raising ValueError, or calling fail(), on sorted row `row` of an n-node fill."""
         real = spectra._k2_row
 
         def k2_row(x, ys, tol):
             if ys.size == n - row:
-                raise ValueError(f"row {row}")
+                if fail is None:
+                    raise ValueError(f"row {row}")
+                fail()
             return real(x, ys, tol)
 
         monkeypatch.setattr(spectra, "_k2_row", k2_row)
@@ -435,18 +451,36 @@ class TestK2Stripes:
     def test_failed_worker_raises(self, monkeypatch):
         rule = uniform_rule(8, 4)
         _use_cores(monkeypatch, 2)
+        threads = threading.active_count()
         self._row_raising_at(monkeypatch, 3, rule.nodes.size)  # stripe 1
-        with pytest.raises(RuntimeError, match="K2 fill worker 1 of 2 exited with status 1"):
+        with pytest.raises(ValueError, match="row 3"):
             _assemble_k2(rule, 1e-7)
-        _assert_no_child_left()
+        _assert_no_child_left(threads)
+
+    def test_dead_worker_raises(self, monkeypatch):
+        rule = uniform_rule(8, 4)
+        _use_cores(monkeypatch, 2)
+        threads = threading.active_count()
+        parent = os.getpid()
+
+        def die():
+            # stripe 1 runs in a worker; never end the test process itself
+            assert os.getpid() != parent, "row 3 ran in the calling process"
+            os._exit(3)
+
+        self._row_raising_at(monkeypatch, 3, rule.nodes.size, die)
+        with pytest.raises(RuntimeError, match="process pool"):
+            _assemble_k2(rule, 1e-7)
+        _assert_no_child_left(threads)
 
     def test_raise_in_own_stripe_reaps_children(self, monkeypatch):
         rule = uniform_rule(8, 4)
         _use_cores(monkeypatch, 3)
+        threads = threading.active_count()
         self._row_raising_at(monkeypatch, 0, rule.nodes.size)  # stripe 0
         with pytest.raises(ValueError, match="row 0"):
             _assemble_k2(rule, 1e-7)
-        _assert_no_child_left()
+        _assert_no_child_left(threads)
 
 
 class TestTraceFormula:
