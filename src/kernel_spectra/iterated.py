@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma
 
 from .bernoulli import bernoulli_tilde, log_factorial
 from .kernel import k_eval
@@ -234,6 +233,8 @@ def i0_eval(x: float, y: float, tol: float = 1e-8) -> float:
         raise ValueError("i0_eval requires x, y in (0, 1]")
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must be in (0, 1)")
+    from scipy.special import digamma
+
     U = max(1.0, (_B2_TAIL_SUP * x**3 / (1.5 * tol)) ** (1.0 / 3.0))
     v = 1.0 / y
     bulk = 0.0  # on about (U - 1)(1/x + 1/y) panels, U <= 2.8e3 x at tol 1e-12

@@ -18,12 +18,14 @@ cross_validate_k2 fills the iterated-kernel matrix in row stripes on every
 usable core: with W = min(usable cores, N // _ROWS_PER_WORKER) processes,
 stripe k holds the rows i = k mod W of the sorted nodes.  This process
 computes stripe 0, and a ProcessPoolExecutor of W - 1 forked workers the
-others.  Every entry is still one _k2_row call on the same inputs, a pure
-function of them, so the matrix and its eigenvalues are bit-identical for
-any W.  A stripe's exception is raised in the caller as the worker raised
-it, a worker that dies without raising is a BrokenProcessPool (a
-RuntimeError), and no worker outlives the fill; a raise in stripe 0 still
-waits for the running stripes, as the pool's shutdown does.  W = 1 runs
+others.  The pool forks after scipy.special is loaded (the spectrum path
+itself never loads it), so the workers inherit it rather than each
+importing it.  Every entry is still one _k2_row call on the same inputs, a
+pure function of them, so the matrix and its eigenvalues are bit-identical
+for any W.  A stripe's exception is raised in the caller as the worker
+raised it, a worker that dies without raising is a BrokenProcessPool (a
+RuntimeError), and no worker outlives the fill; a raise in stripe 0
+cancels the pending stripes and terminates the workers at once.  W = 1 runs
 the same loop in-process, with no pool: below 2 _ROWS_PER_WORKER nodes, on
 one usable core, where the os module has no fork or sched_getaffinity,
 and inside a daemonic multiprocessing worker.  The fork happens in a
@@ -39,7 +41,6 @@ import multiprocessing
 import numbers
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -365,10 +366,21 @@ def _k2_rows(x: np.ndarray, tol: float, workers: int) -> list[np.ndarray]:
     """The rows of every _stripe: stripe 0 here, the others in a fork pool (module docstring)."""
     if workers == 1:
         return _stripe(x, tol, 0, 1)
+    import scipy.special  # noqa: F401  (before the fork: the workers inherit it)
+    from concurrent.futures import ProcessPoolExecutor
+
     rows = [None] * x.size
+    others = set(multiprocessing.active_children())
     with ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork")) as pool:
         stripes = [pool.submit(_stripe, x, tol, k, workers) for k in range(1, workers)]
-        rows[::workers] = _stripe(x, tol, 0, workers)
+        try:
+            rows[::workers] = _stripe(x, tol, 0, workers)
+        except BaseException:
+            for stripe in stripes:
+                stripe.cancel()
+            for child in set(multiprocessing.active_children()) - others:
+                child.terminate()
+            raise
         for k, stripe in enumerate(stripes, 1):
             rows[k::workers] = stripe.result()
     return rows
@@ -419,6 +431,10 @@ def cross_validate_k2(
         raise ValueError(f"count must be >= 1, got {count}")
     if spectrum is None:
         spectrum = eigensolve(assemble(grid))
+    # the fill's imports load here, so that fill_s times the fill alone
+    import concurrent.futures.process  # noqa: F401
+    import scipy.special  # noqa: F401
+
     t0 = time.perf_counter()
     m2, workers = _assemble_k2(grid, kernel_tol)
     t1 = time.perf_counter()

@@ -25,7 +25,8 @@ three primitives:
   one partial panel per jump (_remainder_windows).
 
 All public functions take an absolute tolerance and guarantee the returned
-value is within it.
+value is within it.  scipy.special (Hurwitz zeta, digamma) is loaded on the
+first call of _z, not on import, so importing this module costs no scipy.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.special import digamma
-from scipy.special import zeta as hurwitz_zeta
 
 from .bernoulli import _B_POLY, _bernoulli_poly, bernoulli_tilde
 from .quadrature import composite_rule
@@ -307,6 +306,8 @@ def _series_plans(n: int, s: int, table: tuple, m0: np.ndarray, tol: np.ndarray)
 
 def _z(sigma: int, x: np.ndarray) -> np.ndarray:
     """Z with Z(x) - Z(x + L) = sum_{i < L} (x + i)^(-sigma) for integer L >= 0."""
+    from scipy.special import digamma, zeta as hurwitz_zeta
+
     if sigma >= 2:
         return hurwitz_zeta(sigma, x)
     return -digamma(x) if sigma == 1 else -x

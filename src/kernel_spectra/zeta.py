@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import zeta as scipy_zeta
 
 from .bernoulli import log_factorial
 from .kernel import h_eval, k_eval
@@ -36,7 +35,7 @@ _EULER_GAMMA = float(np.euler_gamma)
 
 
 def zeta(s: float) -> float:
-    """Riemann zeta for real s > -1, s != 1, from scipy.special.zeta.
+    """Riemann zeta for real s > -1, s != 1, from scipy.special.zeta (loaded on first call).
 
     Against mpmath at 8900 points of [-0.9, 8] (step 0.001) the relative
     error is at most 1e-14, the absolute error 4.3e-14 where |s - 1| >= 0.01.
@@ -46,6 +45,8 @@ def zeta(s: float) -> float:
         raise ValueError(f"zeta requires s > -1, got {s}")
     if s == 1.0:
         raise ValueError("pole at s = 1")
+    from scipy.special import zeta as scipy_zeta
+
     return float(scipy_zeta(s))
 
 

@@ -1,5 +1,9 @@
 import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -81,4 +85,18 @@ def traced_peak():
             return value, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+    return run
+
+
+@pytest.fixture
+def run_fresh():
+    """stdout of a script run in a new interpreter that imports kernel_spectra from src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(script):
+        proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
     return run

@@ -1,6 +1,8 @@
+import json
 import math
 import os
 import threading
+import time
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -387,6 +389,10 @@ def _use_cores(monkeypatch, count):
     monkeypatch.setattr(spectra.os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
+# a worker row this slow would hold a fill that waited for its stripe
+_SLOW_ROW_S = 8.0
+
+
 def _assert_no_child_left(threads):
     """No child process is left, and the thread count is back to `threads`."""
     with pytest.raises(ChildProcessError):
@@ -475,12 +481,52 @@ class TestK2Stripes:
 
     def test_raise_in_own_stripe_reaps_children(self, monkeypatch):
         rule = uniform_rule(8, 4)
+        n = rule.nodes.size
         _use_cores(monkeypatch, 3)
         threads = threading.active_count()
-        self._row_raising_at(monkeypatch, 0, rule.nodes.size)  # stripe 0
+        parent = os.getpid()
+        real = spectra._k2_row
+
+        def k2_row(x, ys, tol):
+            if os.getpid() == parent and ys.size == n:
+                raise ValueError("row 0")  # the first row of stripe 0
+            if os.getpid() != parent and ys.size >= n - 2:
+                time.sleep(_SLOW_ROW_S)  # the first rows of stripes 1 and 2
+            return real(x, ys, tol)
+
+        monkeypatch.setattr(spectra, "_k2_row", k2_row)
+        t0 = time.perf_counter()
         with pytest.raises(ValueError, match="row 0"):
             _assemble_k2(rule, 1e-7)
+        assert time.perf_counter() - t0 < _SLOW_ROW_S / 4
         _assert_no_child_left(threads)
+
+    def test_workers_inherit_scipy_special(self, run_fresh):
+        out = run_fresh("""
+            import json, os, sys
+            import numpy as np
+            from kernel_spectra import spectra
+            from kernel_spectra.quadrature import uniform_rule
+
+            parent, real, seen = os.getpid(), spectra._k2_row, []
+
+            def k2_row(x, ys, tol):
+                if os.getpid() != parent and not seen:
+                    seen.append(1)  # the first row of the worker's stripe
+                    os.write(1, b"worker %d " % ("scipy.special" in sys.modules))
+                return real(x, ys, tol)
+
+            spectra._k2_row = k2_row
+            x = np.sort(uniform_rule(4, 4).nodes)
+            cold = "scipy.special" in sys.modules
+            striped = spectra._k2_rows(x, 1e-7, 2)
+            whole = spectra._k2_rows(x, 1e-7, 1)
+            print(json.dumps({"cold": cold, "rows": len(striped),
+                              "equal": all(map(np.array_equal, striped, whole))}))
+        """)
+        worker, record = out.split(" ", 2)[1:]
+        assert worker == "1"
+        assert json.loads(record) == {"cold": False, "rows": 16, "equal": True}
 
 
 class TestTraceFormula:
