@@ -38,7 +38,7 @@ import numpy as np
 from .bernoulli import bernoulli_tilde, log_factorial
 from .kernel import k_eval
 from .quadrature import merged_breakpoint_blocks
-from .tails import _by_parts_level, mixed_power_tail
+from .tails import _MAX_TERMS, _by_parts_level, _check_count, mixed_power_tail
 
 __all__ = [
     "K2Evaluator",
@@ -95,9 +95,10 @@ def _k2_row(x: float, ys: np.ndarray, tol: float, eps: float = 1.0) -> np.ndarra
     A = 1.0 / (x * eps)
     b = 1.0 / (ys * eps)  # alpha A
     alpha = x / ys
+    tail = mixed_power_tail(A, alpha, tol * x / 3.0)  # first: it rejects a tol too small
     level = _by_parts_level(2, A, alpha, 1.0 / alpha, bernoulli_tilde(1, b),
                             np.floor(b).astype(np.int64) + 1, tol * x / 3.0)
-    return (level + mixed_power_tail(A, alpha, tol * x / 3.0)) / x
+    return (level + tail) / x
 
 
 def k2_closed(x: float, y: float, evaluator: K2Evaluator | None = None) -> float:
@@ -111,6 +112,21 @@ def k2_closed(x: float, y: float, evaluator: K2Evaluator | None = None) -> float
         raise ValueError("k2_closed requires x, y in (0, 1]")
     ev = evaluator if evaluator is not None else _DEFAULT
     return float(_k2_row(min(x, y), np.array([max(x, y)]), ev.tol)[0])
+
+
+def _merged_panel_sum(x: float, y: float, cutoff: float, panel) -> float:
+    """The sum of panel(lo, hi, mid, dz) over the merged panels of the rows x and y on [cutoff, 1].
+
+    The panels come from merged_breakpoint_blocks a bounded block at a
+    time; each block's terms are summed and added to the total in block
+    order.
+    """
+    total = 0.0
+    for cuts in merged_breakpoint_blocks(x, y, cutoff):
+        lo = cuts[:-1]
+        hi = cuts[1:]
+        total += float(np.sum(panel(lo, hi, 0.5 * (lo + hi), hi - lo)))
+    return total
 
 
 # k2_quadrature takes min(x, y) >= sqrt(_QUAD_ROUNDING/tol), where the
@@ -157,24 +173,16 @@ def k2_quadrature(x: float, y: float, evaluator: K2Evaluator | None = None) -> f
     eps = min(max(2.0**-8, 1.0 / (x * 4.0e6)), 0.5)
     u = 1.0 / x
     v = 1.0 / y
-    bulk = 0.0
-    # the merged breakpoints of both rows, a bounded block at a time: near
-    # x = 0.002 the rows have ~1/(x eps) = 1.3e5 of them
-    for cuts in merged_breakpoint_blocks(x, y, eps):
-        lo = cuts[:-1]
-        hi = cuts[1:]
-        mid = 0.5 * (lo + hi)
+
+    def panel(lo, hi, mid, dz):
         c1 = np.floor(u / mid) + 0.5
         c2 = np.floor(v / mid) + 0.5
-        dz = hi - lo
         # stable per-panel differences: the raw antiderivative values are ~1/eps
         # and would cancel catastrophically near the cutoff
-        bulk += float(
-            np.sum(
-                c1 * c2 * dz - (c1 * v + c2 * u) * np.log1p(dz / lo) + u * v * dz / (hi * lo)
-            )
-        )
-    return bulk + float(_k2_row(x, np.array([y]), tol, eps)[0])
+        return c1 * c2 * dz - (c1 * v + c2 * u) * np.log1p(dz / lo) + u * v * dz / (hi * lo)
+
+    # near x = 0.002 the rows have ~1/(x eps) = 1.3e5 merged breakpoints
+    return _merged_panel_sum(x, y, eps, panel) + float(_k2_row(x, np.array([y]), tol, eps)[0])
 
 
 def k2_diag_exact(x: float) -> float:
@@ -226,31 +234,32 @@ def i0_eval(x: float, y: float, tol: float = 1e-8) -> float:
     s^-3 ds, the certified mixed_power_tail (tol/2 after halving).  The G
     part, int_U^inf B1~(u/y) G(u/x) du/u, is at most _B2_TAIL_SUP x^3/(6U^3),
     tol/4 at U = max(1, (_B2_TAIL_SUP x^3/(1.5 tol))^(1/3)), and is dropped;
-    at U = 1 there is no bulk.  Quadrature of z -> K2(z, y) converges too
-    slowly: K2 has derivative kinks on the dense set z = m y / j.
+    at U = 1 there is no bulk.  A tol that needs more than _MAX_TERMS (2^24)
+    bulk panels raises ValueError before any work.  Quadrature of
+    z -> K2(z, y) converges too slowly: K2 has derivative kinks on the
+    dense set z = m y / j.
     """
     if not (0.0 < x <= 1.0 and 0.0 < y <= 1.0):
         raise ValueError("i0_eval requires x, y in (0, 1]")
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must be in (0, 1)")
+    U = max(1.0, (_B2_TAIL_SUP * x**3 / (1.5 * tol)) ** (1.0 / 3.0))
+    _check_count((U - 1.0) * (1.0 / x + 1.0 / y), _MAX_TERMS, tol, "bulk panels")
     from scipy.special import digamma
 
-    U = max(1.0, (_B2_TAIL_SUP * x**3 / (1.5 * tol)) ** (1.0 / 3.0))
     v = 1.0 / y
-    bulk = 0.0  # on about (U - 1)(1/x + 1/y) panels, U <= 2.8e3 x at tol 1e-12
-    for cuts in merged_breakpoint_blocks(x, y, 1.0 / U) if U > 1.0 else ():
-        lo = cuts[:-1]
-        hi = cuts[1:]
-        mid = 0.5 * (lo + hi)
+
+    def panel(lo, hi, mid, dz):
         n = np.floor(1.0 / (x * mid))
         d = np.floor(v / mid) + 0.5
         e = x * (n + 0.5)
         # c_n - log lo is O(1): psi(n+1) and -log(x lo) both lie near log n
         c = -(digamma(n + 1.0) + np.log(x * lo)) - 1.0
-        dz = hi - lo
         L = np.log1p(dz / lo)
-        bulk += float(np.sum(d * (c * L - 0.5 * L * L + e * dz)
-                             - v * (((c - 1.0) * dz + lo * L) / (hi * lo) + e * L)))
+        return d * (c * L - 0.5 * L * L + e * dz) - v * (((c - 1.0) * dz + lo * L) / (hi * lo) + e * L)
+
+    # on about (U - 1)(1/x + 1/y) panels, U <= 2.8e3 x at tol 1e-12
+    bulk = _merged_panel_sum(x, y, 1.0 / U, panel) if U > 1.0 else 0.0
     return bulk - 0.5 * mixed_power_tail(U / x, x / y, tol)
 
 

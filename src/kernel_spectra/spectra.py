@@ -41,7 +41,7 @@ import multiprocessing
 import numbers
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,7 +172,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     matrix_eigenvalues: np.ndarray
     vectors: np.ndarray
-    ordering: str = "abs-ascending, positive first on ties"
     floor: float = 0.0
     discarded: int = 0
     residual: float = 0.0
@@ -337,7 +336,7 @@ class K2CrossCheck:
     k2_matrix_eigenvalues: np.ndarray
     trace_partial_sums: np.ndarray
     hs_norm_sq: float
-    count: int = field(default=0)
+    count: int = 0
     residual: float = 0.0
     fill_s: float = 0.0
     eigensolve_s: float = 0.0

@@ -76,9 +76,6 @@ def _ladder_levels(n: int):
     return tuple(means), float(np.max(np.abs(_piece_values(p))))
 
 
-# a pass of independent queries brings hundreds of one-off exponents; the
-# exponents that recur (q = 1..4) stay in a small cache
-@lru_cache(maxsize=128)
 def _ladder_poly(n: int, q: float):
     """The by-parts ladder for int_T^inf B~n(t) t^(-q) dt at integer T >= 1.
 
@@ -90,10 +87,10 @@ def _ladder_poly(n: int, q: float):
         int_T^inf p({t}) t^(-q) = m T^(1-q)/(q-1) + q int_T^inf h({t}) t^(-q-1)
 
     After six levels the remainder is bounded by sup|p_6| times the power
-    tail, with the accumulated q multipliers.  Returns (e, d, c, p), the
-    arrays read-only: the tail at T is sum_i d_i T^(e_i), and the remainder
-    is within c T^(-p).  The polynomial work depends on n alone and is
-    cached (_ladder_levels); a q costs a few float multiplies.
+    tail, with the accumulated q multipliers.  Returns (e, d, c, p): the
+    tail at T is sum_i d_i T^(e_i), and the remainder is within c T^(-p).
+    The polynomial work depends on n alone and is cached (_ladder_levels);
+    a q costs a few float multiplies.
     """
     means, sup = _ladder_levels(n)
     e, d = [], []
@@ -108,9 +105,7 @@ def _ladder_poly(n: int, q: float):
             d.append(mult * m / (qq - 1.0))
         mult *= qq
         qq += 1.0
-    e, d = np.array(e), np.array(d)
-    e.flags.writeable = d.flags.writeable = False
-    return e, d, abs(mult * sup) / (qq - 1.0), qq - 1.0
+    return np.array(e), np.array(d), abs(mult * sup) / (qq - 1.0), qq - 1.0
 
 
 def tilde_power_tail(n: int, q: float, A: float, tol: float = 1e-11) -> float:
@@ -133,6 +128,16 @@ def tilde_power_tail(n: int, q: float, A: float, tol: float = 1e-11) -> float:
 # no window is longer than this many unit panels; the library's windows are
 # under a thousand (T = 707 at tol 1e-20 for n = 2, q = 1)
 _MAX_PANELS = 1 << 20
+# no blocked loop whose length tol sets (em_identity_residual's trapezoid
+# defects, i0_eval's bulk panels) runs past this many terms, where they take
+# about 0.3 s and 0.8 s; the library's longest are about 4.1e5 and 2.8e5
+_MAX_TERMS = 1 << 24
+
+
+def _check_count(count: float, cap: int, tol: float, what: str) -> None:
+    """Raise ValueError naming tol, before any work, when tol asks for more than cap of what."""
+    if not count <= cap:
+        raise ValueError(f"tol {tol:g} needs more than {cap} {what}")
 
 
 # Gauss order k on each half of [0, 1], keyed by k; a window panel [lo, hi]
@@ -152,8 +157,6 @@ def _tilde_tail_vec(n: int, q: float, A: np.ndarray, tol: np.ndarray) -> np.ndar
     the entries' panels are integrated in blocks and summed per entry.
     """
     A = np.asarray(A, dtype=float)
-    if A.size == 0:
-        return np.zeros_like(A)
     if A.min() < 1.0:
         raise ValueError("tilde tails require A >= 1")
     e, d, c, p = _ladder_poly(n, float(q))
@@ -162,9 +165,7 @@ def _tilde_tail_vec(n: int, q: float, A: np.ndarray, tol: np.ndarray) -> np.ndar
     T = np.maximum(first + 1.0, np.ceil(np.maximum((2.0 * c / tol) ** (1.0 / p), 2.0)))
     T += 2.0 * c * T**-p > tol
     panels = T - first  # [A, first + 1], then unit panels up to T
-    if panels.max() > _MAX_PANELS:
-        raise ValueError(f"tol {float(np.min(tol))} needs a tail window of more than "
-                         f"{_MAX_PANELS} unit panels")
+    _check_count(panels.max(), _MAX_PANELS, float(np.min(tol)), "unit panels in a tail window")
     panels = panels.astype(np.int64)
     val = np.empty(A.shape)
     for sl in _column_blocks(panels, _SUM_BLOCK // 32):  # a panel has 32 nodes
@@ -513,12 +514,13 @@ def mixed_power_tail(A: float, alpha, tol: float = 1e-11):
         R2 = int_A^inf B~4(t) B~1(alpha t) t^(-5) dt
 
     is integrated numerically out to T2 with its crude tail certified by
-    sup|B~4 B~1| = 1/60 to tol/7.  The pure tails, B~3(A), B~4(A), T2 and
-    the window's integer cuts depend on A and tol (and the pure tails on
-    max alpha past 3) only and are computed once for every alpha.  The
-    windows run through _remainder_windows: its integer panels are shared
-    by every alpha, and a window costs one partial panel per jump of
-    B~1(alpha t) in (A, T2], about alpha (T2 - A) of them.
+    sup|B~4 B~1| = 1/60 to tol/7; a tol that puts T2 more than _MAX_PANELS
+    past A raises ValueError before any work.  The pure tails, B~3(A),
+    B~4(A), T2 and the window's integer cuts depend on A and tol (and the
+    pure tails on max alpha past 3) only and are computed once for every
+    alpha.  The windows run through _remainder_windows: its integer panels
+    are shared by every alpha, and a window costs one partial panel per
+    jump of B~1(alpha t) in (A, T2], about alpha (T2 - A) of them.
     """
     if not 1.0 <= A < math.inf:
         raise ValueError(f"mixed_power_tail requires A >= 1 and finite, got {A}")
@@ -528,13 +530,14 @@ def mixed_power_tail(A: float, alpha, tol: float = 1e-11):
     if alpha.ndim != 1 or not np.all((alpha > 0.0) & (alpha < math.inf)):
         raise ValueError(f"mixed_power_tail requires alpha in (0, inf), a float or 1-D, got {alpha}")
     tol_i = tol / 7.0
+    # the remainder window runs out to T2, past which its crude tail is within tol_i
+    t2 = (1.0 / (240.0 * tol_i)) ** 0.25
+    _check_count(t2 - A, _MAX_PANELS, tol, "unit panels in the remainder window")
+    T2 = max(int(math.ceil(A)) + 1, int(math.ceil(t2)))
     b1_at_edge = bernoulli_tilde(1, alpha * A)  # right-continuous at jumps
     m0 = np.floor(alpha * A).astype(np.int64) + 1  # first jump strictly past A
     beta = 1.0 / alpha  # both levels find its convergent table in one cache entry
     total = sum(_by_parts_level(n, A, alpha, beta, b1_at_edge, m0, tol_i) for n in (3, 4))
-
-    # remainder window out to T2, past which its crude tail is within tol_i
-    T2 = max(int(math.ceil(A)) + 1, int(math.ceil((1.0 / (240.0 * tol_i)) ** 0.25)))
     total += _remainder_windows(A, float(T2), alpha, m0)
     return float(total[0]) if scalar else total
 

@@ -19,7 +19,7 @@ import numpy as np
 from .bernoulli import log_factorial
 from .kernel import h_eval, k_eval
 from .quadrature import composite_rule
-from .tails import kernel_moment, tilde_power_tail
+from .tails import _MAX_TERMS, _check_count, _check_tol, kernel_moment, tilde_power_tail
 
 __all__ = [
     "zeta",
@@ -51,8 +51,6 @@ def zeta(s: float) -> float:
 
 
 def _harmonic_power(n_max: int, p: float) -> float:
-    if n_max < 1:
-        return 0.0
     n = np.arange(1, n_max + 1, dtype=float)
     return float(np.sum(n ** (-p)))
 
@@ -171,7 +169,8 @@ def em_identity_residual(s: float, x: float, tol: float = 1e-10) -> float:
 
     with F(z) = z^(s+1)/(s+1).  The divergence-cancelling difference is
     summed by trapezoid pairing with a monotone tail bound; the nu-integral
-    pieces are in closed form.
+    pieces are in closed form.  A tol that needs more than _MAX_TERMS
+    (2^24) trapezoid defects raises ValueError before any work.
     """
     s = float(s)
     x = float(x)
@@ -179,14 +178,17 @@ def em_identity_residual(s: float, x: float, tol: float = 1e-10) -> float:
         raise ValueError(f"em_identity_residual requires s >= 0, got {s}")
     if not 0.0 < x <= 1.0:
         raise ValueError("x must lie in (0, 1]")
+    _check_tol(tol)
+    n0 = math.floor(1.0 / x) + 1
+    # |sum_{n>M} trapezoid defects| <= |G'(M)|/12 with G'(nu) = -x^(-s-1) nu^(-s-2)
+    m_top = (x ** (-s - 1.0) / (6.0 * tol)) ** (1.0 / (s + 2.0))
+    _check_count(m_top - n0, _MAX_TERMS, tol, "trapezoid defects")
+    m_cap = max(n0 + 16, math.ceil(m_top))
     lhs = kernel_moment(x, s, tol)
 
     def g(nu):
         return (nu * x) ** (-s - 1.0) / (s + 1.0)
 
-    n0 = math.floor(1.0 / x) + 1
-    # |sum_{n>M} trapezoid defects| <= |G'(M)|/12 with G'(nu) = -x^(-s-1) nu^(-s-2)
-    m_cap = max(n0 + 16, math.ceil((x ** (-s - 1.0) / (6.0 * tol)) ** (1.0 / (s + 2.0))))
     defects = 0.0
     # m_cap reaches 4e5 near x = 0.01, s = 0; the defects are summed a block at a time
     for b0 in range(n0, m_cap + 1, _DEFECT_BLOCK):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import polygamma
 from scipy.special import zeta as hurwitz_zeta
 
-from kernel_spectra import tails
+from kernel_spectra import iterated, tails, zeta
 from kernel_spectra.bernoulli import _B_POLY, bernoulli_tilde
 from kernel_spectra.kernel import k_eval
 from kernel_spectra.quadrature import composite_rule, gauss_legendre, kernel_breakpoints
@@ -219,6 +219,26 @@ class TestTailEngine:
             _, peak = traced_peak(reject, fn, *args)
             assert peak < 1 << 16
 
+    # each of these would sum about 4e20 defects, 5.6e9 bulk panels or a
+    # remainder window past T2 = 4e9 (tens of GiB); a count sized by tol is
+    # checked against its cap before the work it sizes
+    @pytest.mark.parametrize("fn,args", [
+        (zeta.em_identity_residual, (0.0, 0.01, 1e-40)),
+        (iterated.i0_eval, (0.5, 0.5, 1e-30)),
+        (mixed_power_tail, (2.0, 0.7, 1e-40)),
+        (iterated.k2_closed, (0.3, 0.6, iterated.K2Evaluator(1e-40))),
+        (iterated.i_eval, (0.3, 0.6, 0.5, 1e-30)),
+    ], ids=["em_identity_residual", "i0_eval", "mixed_power_tail", "k2_closed", "i_eval"])
+    def test_tiny_tol_fails_fast_by_name(self, fn, args, traced_peak):
+        def reject():
+            with pytest.raises(ValueError, match="tol"):
+                fn(*args)
+
+        t0 = time.perf_counter()
+        _, peak = traced_peak(reject)
+        assert time.perf_counter() - t0 < 1.0
+        assert peak < 1 << 16
+
     # the library's ladder is the per-q oracle's at depth 6, exactly; the
     # oracle at `depth` agrees with it at T = 3 within the two bounds
     @pytest.mark.parametrize("n,q,depth", [(1, 1.0, 6), (2, 0.5, 6), (2, 1.0, 8), (3, 2.5, 6),
@@ -415,6 +435,16 @@ def brute_mixed_tail(A, alpha, T):
     midpoint c, B~2(t) = B_2(t - floor c) and B~1(alpha t) = alpha t -
     floor(alpha c) - 1/2; the unit intervals are taken about 2^15 panels at
     a time.
+
+    What it leaves out past T is within brute_tail_bound(alpha, T): with
+    B~1(alpha t) = d/dt B~2(alpha t)/(2 alpha), one integration by parts on
+    the fast factor gives
+
+      int_T^inf B~2(t) B~1(alpha t) t^-3 dt = -B~2(T) B~2(alpha T)/(2 alpha T^3)
+          - (1/(2 alpha)) int_T^inf B~2(alpha t) (2 B~1(t) t^-3 - 3 B~2(t) t^-4) dt,
+
+    and |B~2| <= 1/6, |B~1| <= 1/2 bound the boundary term by
+    1/(72 alpha T^3) and the integral by 1/(24 alpha T^2) + 1/(72 alpha T^3).
     """
     x, w = gauss_legendre(8)
     total, step = 0.0, max(1, int(2**15 / alpha))
@@ -430,6 +460,11 @@ def brute_mixed_tail(A, alpha, T):
         b1 = alpha * t - (np.floor(alpha * mid) + 0.5)[:, None]
         total += float(half @ (((u * (u - 1.0) + 1.0 / 6.0) * b1 / (t * t * t)) @ w))
     return total
+
+
+def brute_tail_bound(alpha, T):
+    """Bound on |int_T^inf B~2(t) B~1(alpha t) t^-3 dt|, the part brute_mixed_tail leaves out."""
+    return 1.0 / (24.0 * alpha * T**2) + 1.0 / (36.0 * alpha * T**3)
 
 
 class TestMixedPowerTail:
@@ -456,9 +491,12 @@ class TestMixedPowerTail:
 
     @pytest.mark.parametrize("alpha", [100.0, 333.3, 1000.0])
     def test_meets_tol_past_the_level_orders(self, alpha):
-        # alpha > 4: the pure tails' errors are multiplied by alpha/n; the
-        # oracle's tail past T is below T^-2/24 <= tol/100 at tol 1e-8
-        T = math.ceil(math.sqrt(100.0 / (24.0 * 1e-8)))
+        # alpha > 4: the pure tails' errors are multiplied by alpha/n; T is
+        # the least integer where the oracle's tail past T is within tol/100
+        # at tol 1e-8
+        T = math.ceil(math.sqrt(100.0 / (24.0 * alpha * 1e-8)))
+        while brute_tail_bound(alpha, T) > 1e-10:
+            T += 1
         whole = brute_mixed_tail(1.0, alpha, T)
         ref = {1.0: whole, 2.7: whole - brute_mixed_tail(1.0, alpha, 2.7)}
         for A in (1.0, 2.7):
