@@ -16,8 +16,7 @@ eigensolve, and k2_fill_workers, the number of processes that filled the
 matrix in row stripes (1 when the fill ran in-process).
 ``python -m kernel_spectra.cli`` runs the same commands.
 
-``spectrum`` loads no scipy; ``k2`` loads scipy.special before its fill,
-and the fill's forked workers inherit it.
+Neither command loads scipy: no path of the package imports it.
 
 Both records end with ``env``: numpy's BLAS library, the BLAS thread
 variables (null when unset) and the usable CPUs, on which the last digits

@@ -38,7 +38,7 @@ import numpy as np
 from .bernoulli import bernoulli_tilde, log_factorial
 from .kernel import k_eval
 from .quadrature import merged_breakpoint_blocks
-from .tails import _MAX_TERMS, _by_parts_level, _check_count, mixed_power_tail
+from .tails import _MAX_TERMS, _by_parts_level, _check_count, _z, mixed_power_tail
 
 __all__ = [
     "K2Evaluator",
@@ -245,16 +245,14 @@ def i0_eval(x: float, y: float, tol: float = 1e-8) -> float:
         raise ValueError("tol must be in (0, 1)")
     U = max(1.0, (_B2_TAIL_SUP * x**3 / (1.5 * tol)) ** (1.0 / 3.0))
     _check_count((U - 1.0) * (1.0 / x + 1.0 / y), _MAX_TERMS, tol, "bulk panels")
-    from scipy.special import digamma
-
     v = 1.0 / y
 
     def panel(lo, hi, mid, dz):
         n = np.floor(1.0 / (x * mid))
         d = np.floor(v / mid) + 0.5
         e = x * (n + 0.5)
-        # c_n - log lo is O(1): psi(n+1) and -log(x lo) both lie near log n
-        c = -(digamma(n + 1.0) + np.log(x * lo)) - 1.0
+        # c_n - log lo is O(1): psi(n+1) = -_z(1, 1, n+1) and -log(x lo) both lie near log n
+        c = (_z(1, 1, n + 1.0)[0] - np.log(x * lo)) - 1.0
         L = np.log1p(dz / lo)
         return d * (c * L - 0.5 * L * L + e * dz) - v * (((c - 1.0) * dz + lo * L) / (hi * lo) + e * L)
 

@@ -18,20 +18,20 @@ cross_validate_k2 fills the iterated-kernel matrix in row stripes on every
 usable core: with W = min(usable cores, N // _ROWS_PER_WORKER) processes,
 stripe k holds the rows i = k mod W of the sorted nodes.  This process
 computes stripe 0, and a ProcessPoolExecutor of W - 1 forked workers the
-others.  The pool forks after scipy.special is loaded (the spectrum path
-itself never loads it), so the workers inherit it rather than each
-importing it.  Every entry is still one _k2_row call on the same inputs, a
-pure function of them, so the matrix and its eigenvalues are bit-identical
-for any W.  A stripe's exception is raised in the caller as the worker
-raised it, a worker that dies without raising is a BrokenProcessPool (a
-RuntimeError), and no worker outlives the fill; a raise in stripe 0
-cancels the pending stripes and terminates the workers at once.  W = 1 runs
-the same loop in-process, with no pool: below 2 _ROWS_PER_WORKER nodes, on
-one usable core, where the os module has no fork or sched_getaffinity,
-and inside a daemonic multiprocessing worker.  The fork happens in a
-process that may hold OpenBLAS threads (OpenBLAS stops its pool across a
-fork and restarts it on its next call), so Python >= 3.12 may emit a
-DeprecationWarning for a fork in a multi-threaded process.
+others.  No path of this package loads scipy: the fill's Hurwitz zeta and
+digamma are tails._z, in numpy.  Every entry is still one _k2_row call on
+the same inputs, a pure function of them, so the matrix and its
+eigenvalues are bit-identical for any W.  A stripe's exception is raised
+in the caller as the worker raised it, a worker that dies without raising
+is a BrokenProcessPool (a RuntimeError), and no worker outlives the fill;
+a raise in stripe 0 cancels the pending stripes and terminates the
+workers at once.  W = 1 runs the same loop in-process, with no pool:
+below 2 _ROWS_PER_WORKER nodes, on one usable core, where the os module
+has no fork or sched_getaffinity, and inside a daemonic multiprocessing
+worker.  The fork happens in a process that may hold OpenBLAS threads
+(OpenBLAS stops its pool across a fork and restarts it on its next call),
+so Python >= 3.12 may emit a DeprecationWarning for a fork in a
+multi-threaded process.
 """
 
 from __future__ import annotations
@@ -365,7 +365,6 @@ def _k2_rows(x: np.ndarray, tol: float, workers: int) -> list[np.ndarray]:
     """The rows of every _stripe: stripe 0 here, the others in a fork pool (module docstring)."""
     if workers == 1:
         return _stripe(x, tol, 0, 1)
-    import scipy.special  # noqa: F401  (before the fork: the workers inherit it)
     from concurrent.futures import ProcessPoolExecutor
 
     rows = [None] * x.size
@@ -430,9 +429,8 @@ def cross_validate_k2(
         raise ValueError(f"count must be >= 1, got {count}")
     if spectrum is None:
         spectrum = eigensolve(assemble(grid))
-    # the fill's imports load here, so that fill_s times the fill alone
+    # the fill's pool loads here, so that fill_s times the fill alone
     import concurrent.futures.process  # noqa: F401
-    import scipy.special  # noqa: F401
 
     t0 = time.perf_counter()
     m2, workers = _assemble_k2(grid, kernel_tol)

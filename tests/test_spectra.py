@@ -1,4 +1,3 @@
-import json
 import math
 import os
 import threading
@@ -500,33 +499,6 @@ class TestK2Stripes:
             _assemble_k2(rule, 1e-7)
         assert time.perf_counter() - t0 < _SLOW_ROW_S / 4
         _assert_no_child_left(threads)
-
-    def test_workers_inherit_scipy_special(self, run_fresh):
-        out = run_fresh("""
-            import json, os, sys
-            import numpy as np
-            from kernel_spectra import spectra
-            from kernel_spectra.quadrature import uniform_rule
-
-            parent, real, seen = os.getpid(), spectra._k2_row, []
-
-            def k2_row(x, ys, tol):
-                if os.getpid() != parent and not seen:
-                    seen.append(1)  # the first row of the worker's stripe
-                    os.write(1, b"worker %d " % ("scipy.special" in sys.modules))
-                return real(x, ys, tol)
-
-            spectra._k2_row = k2_row
-            x = np.sort(uniform_rule(4, 4).nodes)
-            cold = "scipy.special" in sys.modules
-            striped = spectra._k2_rows(x, 1e-7, 2)
-            whole = spectra._k2_rows(x, 1e-7, 1)
-            print(json.dumps({"cold": cold, "rows": len(striped),
-                              "equal": all(map(np.array_equal, striped, whole))}))
-        """)
-        worker, record = out.split(" ", 2)[1:]
-        assert worker == "1"
-        assert json.loads(record) == {"cold": False, "rows": 16, "equal": True}
 
 
 class TestTraceFormula:

@@ -346,6 +346,42 @@ class TestRemainderBound:
             assert bounds[0] > bounds[1] > bounds[2]
 
 
+class TestZ:
+    # the Hurwitz zeta, digamma and count rows of the drift-class sums,
+    # against mpmath at 40 digits
+
+    @staticmethod
+    def points():
+        rng = np.random.default_rng(2021)
+        return np.concatenate([np.exp(rng.uniform(math.log(1 / 16384), math.log(1e15), 400)),
+                               rng.uniform(1.0, 30.0, 120), np.arange(1.0, 17.0) / 16384])
+
+    def test_rows_against_mpmath(self):
+        x = self.points()
+        z = tails._z(6, 7, x)  # rows sigma = 6, 5, ..., 0
+        with mp.workdps(40):
+            for row, sigma in enumerate(range(6, 1, -1)):
+                ref = np.array([float(mp.zeta(sigma, mp.mpf(t))) for t in x])
+                assert np.max(np.abs(z[row] / ref - 1.0)) <= 1e-15, sigma
+            psi = np.array([float(mp.digamma(mp.mpf(t))) for t in x])
+        assert np.max(np.abs(z[5] + psi) / np.maximum(1.0, np.abs(psi))) <= 1e-15
+        assert np.array_equal(z[6], -x)
+
+    def test_difference_is_the_power_sum(self):
+        x = np.array([1.0 / 16384, 0.3, 1.0, 7.5, 123.25])
+        for L in (1, 5, 40):
+            head = sum((x + i) ** -np.arange(4.0, -1.0, -1.0)[:, None] for i in range(L))
+            diff = tails._z(4, 5, x) - tails._z(4, 5, x + L)
+            assert np.allclose(diff, head, rtol=1e-13, atol=1e-13), L
+
+    def test_a_point_does_not_depend_on_the_others(self):
+        x = self.points()
+        for top, count in ((1, 1), (2, 3), (4, 5), (6, 3)):
+            block = tails._z(top, count, x)
+            for j in (0, 7, 311, x.size - 1):
+                assert np.array_equal(block[:, j], tails._z(top, count, x[j:j + 1])[:, 0])
+
+
 class TestBatchedSeries:
     # a scalar call is a one-column call of the same engine, so a column must
     # not depend on the others; only the summation order may differ

@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -54,6 +55,16 @@ class TestZetaValues:
         assert abs(zeta(s) - zeta_alternating(s)) < 1e-11
         assert abs(zeta(s) - float(mp.zeta(s))) <= 1e-13
 
+    def test_against_mpmath(self):
+        # relative error within 1e-14 at 600 seeded s in (-1, 8], |s - 1| >= 0.01
+        rng = np.random.default_rng(2102)
+        s = rng.uniform(-1.0, 8.0, 1000)
+        s = s[(s > -1.0) & (np.abs(s - 1.0) >= 0.01)][:600]
+        s = np.concatenate([s, [-1.0 + 1e-12, -1e-300, 0.0, 1e-300, 0.99, 1.01, 8.0]])
+        with mp.workdps(40):
+            rel = [abs(zeta(t) / mp.zeta(mp.mpf(t)) - 1) for t in s.tolist()]
+        assert max(rel) <= 1e-14
+
     def test_pole_rejected(self):
         with pytest.raises(ValueError):
             zeta(1.0)
@@ -87,6 +98,30 @@ class TestPartialSumConnection:
     @settings(max_examples=25, deadline=None)
     def test_residual_everywhere(self, s, x):
         assert zeta_connect_residual(s, x) < 1e-7
+
+    @pytest.mark.parametrize("fn,args", [(zeta_connect_residual, (1.0, 1e-6)),
+                                         (euler_limit_residual, (1e-6,))],
+                             ids=["zeta_connect_residual", "euler_limit_residual"])
+    def test_harmonic_sum_in_blocks(self, fn, args, traced_peak):
+        # 1e6 harmonic terms once took two 8 MB arrays; now a block at a time
+        value, peak = traced_peak(fn, *args)
+        assert value < 1e-12
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("fn,args", [(zeta_connect_residual, (1.0, 1e-9)),
+                                         (euler_limit_residual, (1e-9,)),
+                                         (euler_limit_residual, (5e-324,))],
+                             ids=["zeta_connect_residual", "euler_limit_residual", "subnormal_x"])
+    def test_tiny_x_fails_fast_by_name(self, fn, args, traced_peak):
+        # floor(1/x) = 1e9 terms would ask for 7.45 GiB per array
+        def reject():
+            with pytest.raises(ValueError, match=r"x = .* needs floor\(1/x\)"):
+                fn(*args)
+
+        t0 = time.perf_counter()
+        _, peak = traced_peak(reject)
+        assert time.perf_counter() - t0 < 1.0
+        assert peak < 1 << 16
 
 
 class TestStirlingForm:
@@ -196,3 +231,14 @@ class TestHankelForm:
             hankel_apply(lambda v: v, 0.0, V=math.inf)
         with pytest.raises(ValueError, match="u must be nonnegative and finite"):
             hankel_apply(lambda v: v, math.inf)
+
+    def test_huge_V_fails_fast_by_name(self, traced_peak):
+        # the 0.1-wide panel grid at V = 1e9 would ask for 74.5 GiB
+        def reject():
+            with pytest.raises(ValueError, match=r"V = 1e\+09 needs more than"):
+                hankel_apply(lambda v: v, 0.0, V=1e9)
+
+        t0 = time.perf_counter()
+        _, peak = traced_peak(reject)
+        assert time.perf_counter() - t0 < 1.0
+        assert peak < 1 << 16
