@@ -97,3 +97,21 @@ def log_factorial(n: int) -> float:
     zi2 = zi * zi
     series = zi * (1.0 / 12.0 + zi2 * (-1.0 / 360.0 + zi2 * (1.0 / 1260.0)))
     return (z - 0.5) * math.log(z) - z + 0.5 * _LOG_2PI + series
+
+
+def _stirling_bracket(x: float) -> float:
+    """n log(1/x) - 1/x + log sqrt(2 pi / x) - log(n!) with n = floor(1/x); x in (0, 1].
+
+    From n = 33 on it is (n + 1/2) log1p(f/n) - f - 1/(12n) + 1/(360n^3)
+    - 1/(1260n^5) with f = 1/x - n, its n log n terms cancelled in closed
+    form; the first Stirling term left out is 1/(1680 n^7).  Past n = 32
+    the plain form cancels.  iterated.k2_diag_exact and
+    zeta.stirling_alt_residual both take it from here.
+    """
+    n = math.floor(1.0 / x)
+    if n <= 32:
+        return (n * math.log(1.0 / x) - 1.0 / x + 0.5 * math.log(2.0 * math.pi / x)
+                - log_factorial(n))
+    f, ni = 1.0 / x - n, 1.0 / n
+    return ((n + 0.5) * math.log1p(f * ni) - f
+            - ni * (1.0 / 12.0 - ni * ni * (1.0 / 360.0 - ni * ni / 1260.0)))

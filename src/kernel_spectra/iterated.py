@@ -14,7 +14,7 @@ constant times min{x,y}/max{x,y}).  Three independent evaluation routes:
   (tails._by_parts_level at n = 2) plus the certified mixed tail, one row
   of columns y at a time (a scalar call is one column), _k2_row at
   eps = 1; the three jump series of a row share one convergent table;
-* diagonal: a Stirling-type expression through log_factorial, valid only
+* diagonal: a Stirling-type expression through log(n!), valid only
   at x = y.
 
 Route agreement is the main correctness argument; the tests compare all
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernoulli import bernoulli_tilde, log_factorial
+from .bernoulli import _stirling_bracket, bernoulli_tilde
 from .kernel import k_eval
 from .quadrature import merged_breakpoint_blocks
 from .tails import _MAX_TERMS, _by_parts_level, _check_count, _z, mixed_power_tail
@@ -146,7 +146,9 @@ def k2_quadrature(x: float, y: float, evaluator: K2Evaluator | None = None) -> f
     x below 6.4e-5, which bounds the panel count): the bulk still covers
     [1/256, 1] from the definition, and the part shared with k2_closed is
     at most eps/4 (|K| <= 1/2; below 5e-6 on 300 seeded pairs in
-    [0.01, 1]^2), so the route stays a check on the closed form.  A cutoff
+    [0.01, 1]^2), so the route stays a check on the closed form: the oracle
+    for k2_closed in tests/test_iterated.py (TestRouteAgreement,
+    TestBatchedRow) and in the bench's pointwise pairs.  A cutoff
     shrinking with tol would only add panels and their rounding: at tol
     1e-11, eps = sqrt(6 tol) leaves 1.3e5/x panels, whose sum was up to
     3.7e-9 off k2_closed on 16 seeded pairs in [0.02, 1]^2.
@@ -190,24 +192,20 @@ def k2_diag_exact(x: float) -> float:
 
     K2(x,x) = K(1,x)^2 + (2/x) [n log(1/x) - 1/x + log sqrt(2 pi / x)
     - log(n!)] with n = floor(1/x).  At x = 1 this is log(2 pi) - 7/4.
-    From n = 33 on the bracket is (n + 1/2) log1p(f/n) - f - 1/(12n)
-    + 1/(360n^3) - 1/(1260n^5) with f = 1/x - n, its n log n terms
-    cancelled in closed form; the next Stirling term adds 1/(840 n^6) after
-    the 2/x factor.  Against mpmath at 50 digits this form is within
-    9.5e-13 from n = 33 on and the plain bracket within 1.5e-12 below; past
-    n = 32 the plain bracket is up to 4.3e-10 off (n = 256), 8.9e-8 at x = 1e-4.
+    The bracket is bernoulli._stirling_bracket, whose form from n = 33 on
+    cancels the n log n terms in closed form; the first Stirling term it
+    leaves out adds 1/(840 n^6) after the 2/x factor.  Against mpmath at
+    50 digits this is within 9.5e-13 from n = 33 on and within 1.5e-12
+    below; past n = 32 the plain bracket would be up to 4.3e-10 off
+    (n = 256), 8.9e-8 at x = 1e-4.  An oracle for the other routes: its
+    grid integral is the HS norm and the K2 trace in tests/test_spectra.py
+    (test_frobenius_matches_hs_norm, test_spectrum_bounds, TestTraceFormula,
+    TestBilinearExpansion), and tests/test_iterated.py (TestRouteAgreement,
+    TestBatchedRow) checks k2_closed(x, x) against it.
     """
     if not 0.0 < x <= 1.0:
         raise ValueError("k2_diag_exact requires x in (0, 1]")
-    n = math.floor(1.0 / x)
-    if n <= 32:
-        bracket = (n * math.log(1.0 / x) - 1.0 / x + 0.5 * math.log(2.0 * math.pi / x)
-                   - log_factorial(n))
-    else:
-        f, ni = 1.0 / x - n, 1.0 / n
-        bracket = ((n + 0.5) * math.log1p(f * ni) - f
-                   - ni * (1.0 / 12.0 - ni * ni * (1.0 / 360.0 - ni * ni / 1260.0)))
-    return k_eval(1.0, x) ** 2 + 2.0 * bracket / x
+    return k_eval(1.0, x) ** 2 + 2.0 * _stirling_bracket(x) / x
 
 
 # |int_A^inf B2~(t) t^-q dt| <= _B2_TAIL_SUP * A^-q for every q >= 1:

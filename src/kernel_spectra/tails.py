@@ -156,6 +156,9 @@ def _tilde_tail_vec(n: int, q: float, A: np.ndarray, tol: np.ndarray) -> np.ndar
     the integers; a panel [lo, k] takes _UNIT[16] (Gauss-16 on each half) and
     B~n as the polynomial B_n at t - (k - 1), accurate to roundoff.  All
     the entries' panels are integrated in blocks and summed per entry.
+    Batched over a whole grid of lower limits, it is the inner integral of
+    the order-swapped oracles for i0_eval and i_eval in
+    tests/test_iterated.py (_i0_order_swapped, _i_order_swapped).
     """
     A = np.asarray(A, dtype=float)
     if A.min() < 1.0:
@@ -634,12 +637,25 @@ def kernel_moment(x: float, s: float, tol: float = 1e-11) -> float:
         int_0^1 K(x,y) y^s dy = -x^(-s-1) int_{1/x}^inf B~1(t) t^(-s-2) dt
 
     convergent at s = -1 (conditionally, B~1 having zero mean) and
-    absolutely for s > -1; the zeta identities use s >= -1.
+    absolutely for s > -1; the zeta identities use s >= -1.  An x whose
+    x^(-s-1) or 1/x overflows (1e-80 at s = 3, 5e-324 at any s) raises
+    ValueError naming x before any work.
     """
     if not 0.0 < x <= 1.0:
         raise ValueError("kernel_moment requires x in (0, 1]")
     if not -1.0 <= s < math.inf:
         raise ValueError(f"kernel_moment requires s >= -1 and finite, got {s}")
     _check_tol(tol)
-    scale = x ** (-s - 1.0)
+    scale = _moment_scale(x, s)
     return -scale * tilde_power_tail(1, s + 2.0, 1.0 / x, tol / max(scale, 1.0))
+
+
+def _moment_scale(x: float, s: float) -> float:
+    """x^(-s-1) for x in (0, 1]; an x whose x^(-s-1) or 1/x overflows raises ValueError naming x."""
+    try:
+        scale = x ** (-s - 1.0)
+    except OverflowError:
+        scale = math.inf
+    if not (scale < math.inf and 1.0 / x < math.inf):
+        raise ValueError(f"x = {x:g} is too small: x^{-s - 1.0:g} or 1/x overflows")
+    return scale

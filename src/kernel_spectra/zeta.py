@@ -7,21 +7,23 @@ Every public "residual" operation evaluates both sides of one identity by
 independent routes and returns |LHS - RHS|.  The kernel-side integrals go
 through the certified tail engine (the substitution t = 1/(xy) turns each
 kernel breakpoint into an integer cut, which that engine already splits
-panels at), so the kernel route never shares code with the zeta route.
+panels at).  The zeta sides take zeta and Hurwitz zeta from _zeta_em,
+digamma from tails._z and log(n!) from bernoulli._stirling_bracket, none of
+which kernel_moment's pure tail calls, so the kernel route never shares
+code with the zeta route.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat
 
 import numpy as np
 
-from .bernoulli import log_factorial
+from .bernoulli import _stirling_bracket
 from .kernel import h_eval, k_eval
 from .quadrature import composite_rule
-from .tails import (_EM_BERNOULLI, _EM_SHIFT, _MAX_TERMS, _check_count, _check_tol, kernel_moment,
-                    tilde_power_tail)
+from .tails import (_EM_BERNOULLI, _EM_SHIFT, _MAX_TERMS, _check_count, _check_tol, _moment_scale, _z,
+                    kernel_moment, tilde_power_tail)
 
 __all__ = [
     "zeta",
@@ -32,8 +34,6 @@ __all__ = [
     "em_identity_residual",
     "hankel_apply",
 ]
-
-_EULER_GAMMA = float(np.euler_gamma)
 
 
 def zeta(s: float) -> float:
@@ -54,46 +54,41 @@ def zeta(s: float) -> float:
         raise ValueError("pole at s = 1")
     if s < 0.0:
         return (2.0**s * math.pi ** (s - 1.0) * math.sin(0.5 * math.pi * s)
-                * math.gamma(1.0 - s) * _zeta_em(1.0 - s, -s))
-    return _zeta_em(s, s - 1.0)
+                * math.gamma(1.0 - s) * _zeta_em(1.0 - s, -s, 1.0))
+    return _zeta_em(s, s - 1.0, 1.0)
 
 
-# _zeta_em's tail terms B_2j/(2j)! y^-2j with the rising factorial's next two
-# factors, and the bases k < _EM_SHIFT of the summed powers
-_ZETA_TAIL = tuple((b * float(_EM_SHIFT) ** (-2 * j - 2), 2.0 * j + 1.0, 2.0 * j + 2.0)
-                   for j, b in enumerate(_EM_BERNOULLI))
-_ZETA_BASES = tuple(float(k) for k in range(1, _EM_SHIFT))
+# _zeta_em's tail: B_2j/(2j)! and the rising factorial's next two factors
+_ZETA_TAIL = tuple((b, 2.0 * j + 1.0, 2.0 * j + 2.0) for j, b in enumerate(_EM_BERNOULLI))
 
 
-def _zeta_em(s: float, d: float) -> float:
-    """zeta(s) for s >= 0 by Euler-Maclaurin at y = _EM_SHIFT, given d = s - 1 exactly."""
-    tail, rising = 0.0, s
-    for term, a, b in _ZETA_TAIL:
-        tail += term * rising
-        rising *= (s + a) * (s + b)
-    y = float(_EM_SHIFT)
-    return math.fsum([*map(pow, _ZETA_BASES, repeat(-s)), y**-d * (1.0 / d + 0.5 / y + tail)])
+def _em_tail(s: float, y: float, rising: float) -> float:
+    """sum_{j=1..8} B_2j/(2j)! r_j y^(-2j), r_1 = rising, r_(j+1) = r_j (s + 2j - 1)(s + 2j).
 
-
-# em_identity_residual's trapezoid defects and _harmonic_power's terms are
-# summed this many at a time, so that their memory does not grow with the count
-_DEFECT_BLOCK = 1 << 14
-
-
-def _harmonic_power(x: float, p: float) -> float:
-    """sum_{n <= 1/x} n^(-p), _DEFECT_BLOCK terms at a time.
-
-    floor(1/x) past _MAX_TERMS (2^24) raises ValueError naming x before any
-    work.  Up to one block (x >= 6.1e-5) the sum is a single np.sum.
+    At rising = s, r_j is (s)_(2j-1) and y^(1-s) times this sum is the
+    Euler-Maclaurin tail of zeta(s, y) past y^(1-s)/(s-1) + y^-s/2; at
+    rising = 1 it is that tail over s.
     """
-    if not 1.0 / x < _MAX_TERMS + 1:
-        raise ValueError(f"x = {x:g} needs floor(1/x) > {_MAX_TERMS} terms of sum_(n <= 1/x) n^-p")
-    n_max = math.floor(1.0 / x)
-    total = 0.0
-    for b0 in range(1, n_max + 1, _DEFECT_BLOCK):
-        n = np.arange(b0, min(b0 + _DEFECT_BLOCK, n_max + 1), dtype=float)
-        total += float(np.sum(n ** (-p)))
-    return total
+    tail, u = 0.0, y**-2.0
+    w = u
+    for b, c1, c2 in _ZETA_TAIL:
+        tail += b * w * rising
+        rising *= (s + c1) * (s + c2)
+        w *= u
+    return tail
+
+
+def _zeta_em(s: float, d: float, a: float) -> float:
+    """Hurwitz zeta(s, a) for s >= 0 and a >= 1, given d = s - 1 exactly.
+
+    The powers (a + k)^-s for k < _EM_SHIFT - 1, then Euler-Maclaurin at
+    y = a + _EM_SHIFT - 1; a = 1 gives zeta(s).  Against mpmath at seeded
+    s in [1.25, 4] and a - 1 up to 1e9 it is within 1e-15 relative
+    (tests/test_zeta.py::TestZetaValues::test_hurwitz_against_mpmath).
+    """
+    y = a + (_EM_SHIFT - 1)
+    return math.fsum([*(pow(a + k, -s) for k in range(_EM_SHIFT - 1)),
+                      y**-d * (1.0 / d + 0.5 / y + _em_tail(s, y, s))])
 
 
 def zeta_connect_residual(s: float, x: float, tol: float = 1e-10) -> float:
@@ -103,8 +98,9 @@ def zeta_connect_residual(s: float, x: float, tol: float = 1e-10) -> float:
             = zeta(s+1) - sum_{n <= 1/x} n^(-s-1) - x^s/s + x^(s+1) K(1,x)
 
     for s > 0 and 0 < x <= 1.  The left side is the certified kernel
-    moment; the right side is zeta plus explicit sums.  An x with
-    floor(1/x) > _MAX_TERMS (2^24) raises ValueError naming x.
+    moment.  On the right, zeta(s+1) less the partial sum is the Hurwitz
+    zeta(s+1, floor(1/x) + 1), one _zeta_em call at any x.  An x whose
+    x^(-s-1) overflows raises ValueError naming x (kernel_moment).
     """
     s = float(s)
     x = float(x)
@@ -112,11 +108,9 @@ def zeta_connect_residual(s: float, x: float, tol: float = 1e-10) -> float:
         raise ValueError(f"zeta_connect_residual requires s > 0, got {s}")
     if not 0.0 < x <= 1.0:
         raise ValueError("x must lie in (0, 1]")
-    harmonic = _harmonic_power(x, s + 1.0)  # first: it rejects an x too small
     lhs = (s + 1.0) * x ** (s + 1.0) * kernel_moment(x, s, tol)
     rhs = (
-        zeta(s + 1.0)
-        - harmonic
+        _zeta_em(s + 1.0, s, math.floor(1.0 / x) + 1.0)
         - x**s / s
         + x ** (s + 1.0) * float(k_eval(1.0, x))
     )
@@ -128,16 +122,16 @@ def euler_limit_residual(x: float, tol: float = 1e-10) -> float:
 
         x int_0^1 K(x,y) dy = gamma - sum_{n <= 1/x} 1/n + log(1/x) + x K(1,x).
 
-    An x with floor(1/x) > _MAX_TERMS (2^24) raises ValueError naming x.
+    gamma less the harmonic sum is -digamma(floor(1/x) + 1), one tails._z
+    point at any x.  An x whose 1/x overflows raises ValueError naming x
+    (kernel_moment).
     """
     x = float(x)
     if not 0.0 < x <= 1.0:
         raise ValueError("x must lie in (0, 1]")
-    harmonic = _harmonic_power(x, 1.0)  # first: it rejects an x too small
     lhs = x * kernel_moment(x, 0.0, tol)
     rhs = (
-        _EULER_GAMMA
-        - harmonic
+        float(_z(1, 1, np.array([math.floor(1.0 / x) + 1.0]))[0, 0])
         + math.log(1.0 / x)
         + x * float(k_eval(1.0, x))
     )
@@ -150,8 +144,10 @@ def stirling_alt_residual(x: float, eps: float, tol: float = 1e-10) -> float:
         int_eps^1 K(x,y) y^(-1) dy  vs
         log(floor(1/x)!) - floor(1/x) log(1/x) + 1/x - log sqrt(2 pi / x).
 
-    The epsilon cutoff is the dominant error source; halving eps shrinks
-    the residual.  At x = 1 the right side is 1 - log sqrt(2 pi).
+    The right side is minus bernoulli._stirling_bracket, k2_diag_exact's
+    bracket, which keeps it within tol at small x.  The epsilon cutoff is
+    the dominant error source; halving eps shrinks the residual.  At x = 1
+    the right side is 1 - log sqrt(2 pi).
     """
     x = float(x)
     eps = float(eps)
@@ -161,20 +157,21 @@ def stirling_alt_residual(x: float, eps: float, tol: float = 1e-10) -> float:
         raise ValueError("eps must satisfy 0 < eps < x")
     # int_eps^1 = int_0^1 - int_0^eps; the lower piece is a pure tail.
     lhs = kernel_moment(x, -1.0, tol) + tilde_power_tail(1, 1.0, 1.0 / (x * eps), tol)
-    n = math.floor(1.0 / x)
-    rhs = (
-        log_factorial(n)
-        - n * math.log(1.0 / x)
-        + 1.0 / x
-        - 0.5 * math.log(2.0 * math.pi / x)
-    )
-    return abs(lhs - rhs)
+    return abs(lhs + _stirling_bracket(x))
 
 
 def laplace_h_residual(s: float, tol: float = 1e-10) -> float:
     """Residual of the Laplace-transform identity for h(v) = e^(-v/2) K(1, e^-v):
 
         int_0^1 K(1,y) y^(s-1) dy = (zeta(s) - 1/(s-1) - 1/2) / s,   s > 0.
+
+    The right side is _zeta_em's sum at a = 1 regrouped so that each O(s)
+    piece is divided by s in closed form, with e_k = expm1(-s log k)/s:
+
+        sum_{k=2..7} e_k + (8 e_8 + 7)/(s-1) + e_8/2 + 8^(1-s) tail/s.
+
+    Formed as written it would cancel for small s (4.8e-6 off at
+    s = 1e-10, 0.048 at 1e-14).
     """
     s = float(s)
     if not s > 0.0:
@@ -182,7 +179,10 @@ def laplace_h_residual(s: float, tol: float = 1e-10) -> float:
     if s == 1.0:
         raise ValueError("pole at s = 1")
     lhs = kernel_moment(1.0, s - 1.0, tol)
-    rhs = (zeta(s) - 1.0 / (s - 1.0) - 0.5) / s
+    y = float(_EM_SHIFT)
+    e = [math.expm1(-s * math.log(k)) / s for k in range(2, _EM_SHIFT + 1)]
+    rhs = math.fsum([*e[:-1], (y * e[-1] + (y - 1.0)) / (s - 1.0), 0.5 * e[-1],
+                     y ** (1.0 - s) * _em_tail(s, y, 1.0)])
     return abs(lhs - rhs)
 
 
@@ -201,6 +201,11 @@ def _power_panel_integral(s: float, x: float, a, b):
     return c * a ** (-s) * -np.expm1(-s * L) / s
 
 
+# em_identity_residual's trapezoid defects are summed this many at a time, so
+# that their memory does not grow with the count
+_DEFECT_BLOCK = 1 << 14
+
+
 def em_identity_residual(s: float, x: float, tol: float = 1e-10) -> float:
     """Residual of the Euler-Maclaurin action identity for f(y) = y^s:
 
@@ -211,7 +216,8 @@ def em_identity_residual(s: float, x: float, tol: float = 1e-10) -> float:
     with F(z) = z^(s+1)/(s+1).  The divergence-cancelling difference is
     summed by trapezoid pairing with a monotone tail bound; the nu-integral
     pieces are in closed form.  A tol that needs more than _MAX_TERMS
-    (2^24) trapezoid defects raises ValueError before any work.
+    (2^24) trapezoid defects, or an x whose x^(-s-1) or 1/x overflows,
+    raises ValueError by name before any work.
     """
     s = float(s)
     x = float(x)
@@ -220,9 +226,10 @@ def em_identity_residual(s: float, x: float, tol: float = 1e-10) -> float:
     if not 0.0 < x <= 1.0:
         raise ValueError("x must lie in (0, 1]")
     _check_tol(tol)
+    scale = _moment_scale(x, s)  # first: it rejects an x too small
     n0 = math.floor(1.0 / x) + 1
     # |sum_{n>M} trapezoid defects| <= |G'(M)|/12 with G'(nu) = -x^(-s-1) nu^(-s-2)
-    m_top = (x ** (-s - 1.0) / (6.0 * tol)) ** (1.0 / (s + 2.0))
+    m_top = (scale / (6.0 * tol)) ** (1.0 / (s + 2.0))
     _check_count(m_top - n0, _MAX_TERMS, tol, "trapezoid defects")
     m_cap = max(n0 + 16, math.ceil(m_top))
     lhs = kernel_moment(x, s, tol)
@@ -253,7 +260,8 @@ def hankel_apply(F, u: float, V: float = 40.0) -> float:
     below ~5e-4 and smooth panels take over.  No panel is wider than 0.1, so
     a V past 0.1 _MAX_TERMS (1.7e6) raises ValueError naming V before any
     work.  The x-domain counterpart of
-    G(u) is sqrt(x) int_0^1 K(x,y) f(y) dy at x = e^-u.
+    G(u) is sqrt(x) int_0^1 K(x,y) f(y) dy at x = e^-u: tests/test_zeta.py
+    (TestHankelForm) checks this route against kernel_moment there.
     """
     u = float(u)
     if not 0.0 <= u < math.inf:

@@ -15,6 +15,7 @@ from kernel_spectra.zeta import (
     hankel_apply,
     laplace_h_residual,
     stirling_alt_residual,
+    _zeta_em,
     zeta,
     zeta_connect_residual,
 )
@@ -65,6 +66,16 @@ class TestZetaValues:
             rel = [abs(zeta(t) / mp.zeta(mp.mpf(t)) - 1) for t in s.tolist()]
         assert max(rel) <= 1e-14
 
+    def test_hurwitz_against_mpmath(self):
+        # zeta(d + 1, N + 1) as zeta_connect_residual forms it, d exact, N up to 1e9
+        rng = np.random.default_rng(2201)
+        d = rng.uniform(0.25, 3.0, 300)
+        n = np.floor(10.0 ** rng.uniform(0.0, 9.0, 300))
+        with mp.workdps(40):
+            rel = [abs(_zeta_em(a + 1.0, a, b + 1.0) / mp.zeta(mp.mpf(a) + 1, b + 1.0) - 1)
+                   for a, b in zip(d.tolist(), n.tolist())]
+        assert max(rel) <= 1e-15
+
     def test_pole_rejected(self):
         with pytest.raises(ValueError):
             zeta(1.0)
@@ -108,14 +119,31 @@ class TestPartialSumConnection:
         assert value < 1e-12
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize("fn,args", [(zeta_connect_residual, (1.0, 1e-9)),
-                                         (euler_limit_residual, (1e-9,)),
-                                         (euler_limit_residual, (5e-324,))],
-                             ids=["zeta_connect_residual", "euler_limit_residual", "subnormal_x"])
+    @pytest.mark.parametrize("x", [1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("fn,args", [(zeta_connect_residual, (1.0,)), (euler_limit_residual, ())],
+                             ids=["zeta_connect_residual", "euler_limit_residual"])
+    def test_small_x_meets_tol(self, fn, args, x):
+        # the partial sums are Hurwitz zeta and digamma at floor(1/x) + 1, so
+        # the cost does not grow with 1/x; 1e9 summed terms once raised
+        value = fn(*args, x, 1e-10)
+        t0 = time.perf_counter()
+        fn(*args, x, 1e-10)
+        assert time.perf_counter() - t0 < 0.01
+        assert value <= 1e-10
+
+    @pytest.mark.parametrize("fn,args", [(euler_limit_residual, (5e-324,)),
+                                         (kernel_moment, (1e-80, 3.0)),
+                                         (kernel_moment, (1e-300, 0.5)),
+                                         (kernel_moment, (5e-324, 0.0)),
+                                         (kernel_moment, (5e-324, -1.0)),
+                                         (em_identity_residual, (0.0, 5e-324))],
+                             ids=["subnormal_x", "moment_s3", "moment_s0.5", "moment_subnormal_s0",
+                                  "moment_subnormal_s-1", "em_identity_subnormal"])
     def test_tiny_x_fails_fast_by_name(self, fn, args, traced_peak):
-        # floor(1/x) = 1e9 terms would ask for 7.45 GiB per array
+        # x^(-s-1) or 1/x overflows; these once raised OverflowError, or a
+        # ValueError naming the tail's lower limit
         def reject():
-            with pytest.raises(ValueError, match=r"x = .* needs floor\(1/x\)"):
+            with pytest.raises(ValueError, match=r"x = .* is too small"):
                 fn(*args)
 
         t0 = time.perf_counter()
@@ -146,6 +174,14 @@ class TestStirlingForm:
         with pytest.raises(ValueError):
             stirling_alt_residual(0.3, 0.5)
 
+    @pytest.mark.parametrize("x", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9])
+    def test_small_x_meets_tol(self, x):
+        # the right side is k2_diag_exact's Stirling bracket; its plain form
+        # cancels, 6.8e-10 off at x = 1e-6 and 5.9e-7 at 1e-9
+        assert stirling_alt_residual(x, x * 1e-10, 1e-10) <= 1e-10
+        if x == 1e-6:
+            assert stirling_alt_residual(x, 1e-16, 1e-10) <= 1e-10
+
 
 class TestLaplaceIdentity:
     @pytest.mark.parametrize("s", [0.5, 2.0, 3.0])
@@ -155,6 +191,12 @@ class TestLaplaceIdentity:
     def test_pole(self):
         with pytest.raises(ValueError):
             laplace_h_residual(1.0)
+
+    @pytest.mark.parametrize("s", [1e-7, 1e-10, 1e-14])
+    def test_small_s_meets_tol(self, s):
+        # (zeta(s) - 1/(s-1) - 1/2)/s formed as written was 1.4e-8, 4.8e-6
+        # and 0.048 off at these s
+        assert laplace_h_residual(s, 1e-10) <= 1e-10
 
     @pytest.mark.parametrize("s", [0.5, 2.0, 3.0])
     def test_connect_consistency_at_x_one(self, s):
