@@ -32,6 +32,7 @@ numpy Euler-Maclaurin pass over a point block (_z), so no path loads scipy.
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 from functools import lru_cache
 
@@ -166,10 +167,15 @@ def _tilde_tail_vec(n: int, q: float, A: np.ndarray, tol: np.ndarray) -> np.ndar
     e, d, c, p = _ladder_poly(n, float(q))
     tol = np.asarray(tol, dtype=float)
     first = np.floor(A)
+    least = float(tol.min())
+    # the least tol's T less the greatest first bounds the longest window from
+    # below; in Python floats 2c/tol goes to inf without the warning numpy gives
+    _check_count((2.0 * c / least) ** (1.0 / p) - float(first.max()), _MAX_PANELS, least,
+                 "unit panels in a tail window")
     T = np.maximum(first + 1.0, np.ceil(np.maximum((2.0 * c / tol) ** (1.0 / p), 2.0)))
     T += 2.0 * c * T**-p > tol
     panels = T - first  # [A, first + 1], then unit panels up to T
-    _check_count(panels.max(), _MAX_PANELS, float(np.min(tol)), "unit panels in a tail window")
+    _check_count(panels.max(), _MAX_PANELS, least, "unit panels in a tail window")
     panels = panels.astype(np.int64)
     val = np.empty(A.shape)
     for sl in _column_blocks(panels, _SUM_BLOCK // 32):  # a panel has 32 nodes
@@ -339,15 +345,28 @@ def _em_coefficients(top: int, count: int) -> np.ndarray:
     return c
 
 
+# _z's work space: one float64 buffer per thread, only ever grown (see _z)
+_SCRATCH = threading.local()
+
+
+def _scratch(n: int) -> np.ndarray:
+    """The first n entries of this thread's work buffer, which grows to n if it is shorter."""
+    buf = getattr(_SCRATCH, "buf", None)
+    if buf is None or buf.size < n:
+        buf = _SCRATCH.buf = np.empty(n)
+    return buf[:n]
+
+
 def _z(top: int, count: int, x: np.ndarray) -> np.ndarray:
     """Rows Z(sigma, x) for sigma = top >= 1, top - 1, ..., top - count + 1 >= 0, a column per point.
 
     Z(x) - Z(x + L) = sum_{i < L} (x + i)^(-sigma) for integer L >= 0: Z is
     the Hurwitz zeta(sigma, x) for sigma >= 2, -digamma(x) for 1 and -x for
     0.  With y = x + _EM_SHIFT, the terms 1/(x + k), k < _EM_SHIFT, and 1/y
-    are formed once and raised to each sigma by multiplication.  A row is
-    its power sum, over a fixed tree so that a point's value does not
-    depend on the others in x, plus the Euler-Maclaurin tail at y:
+    are formed once and raised to each sigma by multiplication, one sigma
+    after another in the same slab.  A row is its power sum, over a fixed
+    tree so that a point's value does not depend on the others in x, plus
+    the Euler-Maclaurin tail at y:
 
         zeta(sigma, y) = y^(-sigma) (1/2 + y G(u)),  u = y^-2,
         G(u) = 1/(sigma - 1) + sum_{j=1..8} B_2j/(2j)! (sigma)_(2j-1) u^j,
@@ -359,41 +378,58 @@ def _z(top: int, count: int, x: np.ndarray) -> np.ndarray:
     zeta(sigma, x); against mpmath at 2,000 seeded x in [1/16384, 1e15] the
     rows sigma = 2..6 are within 9e-16 relative and -digamma within 9e-16
     max(1, |digamma|) (tests/test_tails.py::TestZ).
+
+    Work space: every intermediate lives in this thread's buffer
+    (_scratch), (24 + 2 rows) P doubles for P points and `rows` rows with
+    sigma >= 1, 1 MB at the K2 fill's 4096 points.  The buffer is one per
+    thread and only ever grown; its contents are undefined between calls,
+    and nothing _z calls may use it.  The result is always a fresh array.
+    Temporaries of that size, allocated per call, are mapped and trimmed
+    back by glibc's allocator at every call; their page faults took about
+    half of _z's time in a K2 fill.
     """
     c = _em_coefficients(top, count)
     rows = c.shape[1] // 2  # those with sigma >= 1
+    low = top - rows + 1  # the least sigma >= 1
     out = np.empty((count, x.size))
-    inv = x + _EM_SHIFTS
+    p = x.size
+    sizes = (_EM_SHIFT + 1, _EM_SHIFT + 1, _EM_SHIFT // 2, 2 * rows, 1, 1)  # in rows of p entries
+    work = _scratch(sum(sizes) * p)
+    views, end = [], 0
+    for k in sizes:
+        views.append(work[end:end + k * p].reshape(k, p))
+        end += k * p
+    inv, slab, tree, eo, (u,), (v,) = views
+    np.add(x, _EM_SHIFTS, out=inv)
     np.divide(1.0, inv, out=inv)
     yi = inv[-1]
-    low = top - rows + 1  # the least sigma >= 1
-    lowest = inv**low if low > 1 else inv
-    if rows == 1:
-        power = lowest[:, None]  # [k, row]: (x + k)^-sigma, sigma descending
-    else:
-        power = np.empty((_EM_SHIFT + 1, rows, x.size))
-        power[:, -1] = lowest
-        for i in range(rows - 2, -1, -1):
-            np.multiply(power[:, i + 1], inv, out=power[:, i])
-    half = power[:-1]
-    while len(half) > 2:  # a fixed tree, the same for any number of points
-        half = half[: len(half) // 2] + half[len(half) // 2:]
-    np.add(half[0], half[1], out=out[:rows])
-    u = yi * yi
-    v = u * u
-    g = c[-1] * v
+    np.multiply(yi, yi, out=u)
+    np.multiply(u, u, out=v)
+    np.multiply(c[-1], v, out=eo)  # G's even and odd parts, then G in the even rows
     for ck in c[-2:0:-1]:
-        g += ck
-        g *= v
-    g += c[0]
-    g[rows:] *= u
-    g = g[:rows] + g[rows:]  # G
+        eo += ck
+        eo *= v
+    eo += c[0]
+    eo[rows:] *= u
+    g = eo[:rows]
+    g += eo[rows:]
     g /= yi
     g += 0.5
-    g *= power[-1]  # y^-sigma
-    out[:rows] += g
+    power = np.power(inv, low, out=slab) if low > 1 else inv  # power[k] = (x + k)^-sigma
+    for i in range(rows - 1, -1, -1):  # sigma = low, ..., top
+        if i < rows - 1:
+            power = np.multiply(power, inv, out=slab)
+        # a fixed tree, the same for any number of points
+        half = _EM_SHIFT // 2
+        np.add(power[:half], power[half:-1], out=tree)
+        while half > 2:
+            half //= 2
+            np.add(tree[:half], tree[half:2 * half], out=tree[:half])
+        np.add(tree[0], tree[1], out=out[i])
+        g[i] *= power[-1]  # y^-sigma
+        out[i] += g[i]
     if low == 1:
-        out[rows - 1] += np.log(yi)
+        out[rows - 1] += np.log(yi, out=u)
     if rows < count:
         np.negative(x, out=out[rows])
     return out
@@ -409,8 +445,12 @@ def _drift_class_sums(n: int, s: int, pm, q, eps, m0, M) -> np.ndarray:
     m^(i - s) is q^(i - s) (Z(j_a + r/q) - Z(j_b + 1 + r/q)) with Z of _z, so
     each class is a sum over its points (its ends and the first j of each
     run) of Z times the change of the run polynomial's coefficients there.
-    The points are taken _POINT_BLOCK at a time.
+    The points are taken _POINT_BLOCK at a time.  Where M < m0 in every
+    column no class has a point, and the sums are zeros before any class
+    is built.
     """
+    if np.all(M < m0):
+        return np.zeros(q.size)
     cls = np.repeat(np.arange(q.size), q)  # the column of each class
     r = np.arange(cls.size) - np.repeat(np.cumsum(q) - q, q)
     qc, ec = q[cls], eps[cls]

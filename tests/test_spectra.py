@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 import threading
 import time
 from types import SimpleNamespace
@@ -438,6 +439,18 @@ class TestK2Stripes:
         assert xc.fill_workers == 2
         _use_cores(monkeypatch, 1)
         assert cross_validate_k2(rule, count=3).fill_workers == 1
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt counts minor faults on Linux")
+    def test_warm_fill_takes_few_page_faults(self):
+        # tails._z's temporaries, mapped and trimmed back at every call, once
+        # cost about 15,000 minor faults per N = 64 fill
+        import resource
+
+        x = np.sort(uniform_rule(16, 4).nodes)
+        spectra._k2_rows(x, 1e-7, 1)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        spectra._k2_rows(x, 1e-7, 1)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
 
     @staticmethod
     def _row_raising_at(monkeypatch, row, n, fail=None):

@@ -1,7 +1,10 @@
 """Tests for the certified tail integrals and sawtooth series."""
 
 import math
+import sys
+import threading
 import time
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -381,6 +384,61 @@ class TestZ:
             for j in (0, 7, 311, x.size - 1):
                 assert np.array_equal(block[:, j], tails._z(top, count, x[j:j + 1])[:, 0])
 
+    # _z keeps its intermediates in one work buffer per thread, grown and reused
+
+    def test_threads_do_not_share_a_buffer(self):
+        # more threads than cores, each at its own size and exponents, under a
+        # short switch interval; a shared buffer would mix their rows
+        rng = np.random.default_rng(2302)
+        jobs = [(6, 7, rng.uniform(0.001, 50.0, 4096)), (2, 3, rng.uniform(1.0, 9.0, 300)),
+                (4, 5, rng.uniform(0.01, 1e6, 1500)), (1, 1, rng.uniform(1.0, 1e9, 5))]
+        serial = [tails._z(*job) for job in jobs]
+        same = {}  # a thread that raised leaves no entry
+
+        def run(k):
+            same[k] = all(np.array_equal(tails._z(*jobs[k]), serial[k]) for _ in range(40))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(len(jobs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert same == {k: True for k in range(len(jobs))}
+
+    def test_result_is_not_the_buffer(self):
+        x = self.points()
+        first = tails._z(4, 5, x)
+        kept = first.copy()
+        second = tails._z(4, 5, x + 1.0)
+        assert np.array_equal(first, kept)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, tails._SCRATCH.buf)
+
+    def test_buffer_is_reused(self):
+        def sizes():
+            x = self.points()
+            tails._z(6, 7, x)
+            buf = tails._SCRATCH.buf
+            tails._z(6, 7, x + 0.5)
+            tails._z(2, 3, x[:9])
+            reused = tails._SCRATCH.buf is buf
+            tails._z(6, 7, np.tile(x, 2))
+            return reused, buf.size, tails._SCRATCH.buf.size
+
+        out = []
+        t = threading.Thread(target=lambda: out.append(sizes()))  # a fresh thread starts with none
+        t.start()
+        t.join(timeout=30.0)
+        assert not t.is_alive()
+        (reused, first, grown), = out
+        assert reused and grown == 2 * first
+
 
 class TestBatchedSeries:
     # a scalar call is a one-column call of the same engine, so a column must
@@ -404,6 +462,20 @@ class TestBatchedSeries:
         ref = [bn_series(3, float(b), 3.0, 1, float(t)) for b, t in zip(beta, tols)]
         assert np.max(np.abs(got - ref)) <= 1e-15
         assert abs(ref[0] - ref[1]) <= 1e-10
+
+    def test_empty_sums_build_no_classes(self, monkeypatch, traced_peak):
+        # M < m0 in every column: zeros, before any class array or _z call;
+        # 64 columns at q = 16384 would build class arrays of 8 MB each
+        def no_z(*args):
+            raise AssertionError("_z called")
+
+        monkeypatch.setattr(tails, "_z", no_z)
+        m0 = np.full(64, 10**9)
+        args = (2, 2, np.ones(64, dtype=np.int64), np.full(64, 16384), np.full(64, 1e-5), m0, m0 - 1)
+        out, peak = traced_peak(tails._drift_class_sums, *args)
+        assert np.array_equal(out, np.zeros(64))
+        assert peak < 1 << 16
+        assert bn_series(2, math.pi, 2, 10**12, 1e-3) == 0.0  # its plan has M = m0 - 1
 
     def test_mixed_tail_vec_matches_scalar(self):
         # an array alpha against element-wise float calls
@@ -681,6 +753,15 @@ class TestKernelMoment:
                 lambda t: bernoulli_tilde(1, t) / t, 1.0 / x, 100000.0
             )
             assert abs(mine - w) <= 1.0 / (6.0 * 100000.0) + 1e-10, x
+
+    def test_tol_below_the_float_range_fails_by_name(self):
+        # tol/x^(-s-1) = 1e-311 once overflowed 2c/tol with a RuntimeWarning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="tol .* needs more than"):
+                kernel_moment(1e-150, 1.0)
+            with pytest.raises(ValueError, match="tol .* needs more than"):
+                tilde_power_tail(2, 2.0, 3.0, 1e-320)
 
     def test_rejects_bad_arguments(self):
         for s in (math.inf, math.nan, -1.5):

@@ -131,6 +131,12 @@ class TestPartialSumConnection:
         assert time.perf_counter() - t0 < 0.01
         assert value <= 1e-10
 
+    @pytest.mark.parametrize("s", [1e-9, 1e-11, 1e-14])
+    def test_small_s_meets_tol(self, s):
+        # zeta(s+1, N+1) and x^s/s, both about 1/s, subtracted as formed were
+        # 8.4e-9 and 7.6e-6 off at s = 1e-9 and 1e-11
+        assert zeta_connect_residual(s, 0.5, 1e-10) <= 1e-10
+
     @pytest.mark.parametrize("fn,args", [(euler_limit_residual, (5e-324,)),
                                          (kernel_moment, (1e-80, 3.0)),
                                          (kernel_moment, (1e-300, 0.5)),
@@ -173,6 +179,11 @@ class TestStirlingForm:
     def test_eps_validation(self):
         with pytest.raises(ValueError):
             stirling_alt_residual(0.3, 0.5)
+
+    def test_eps_below_the_float_range_fails_by_name(self):
+        # x eps underflows to 0, and 1/(x eps) once raised ZeroDivisionError
+        with pytest.raises(ValueError, match=r"eps = .* is too small"):
+            stirling_alt_residual(1e-300, 1e-305)
 
     @pytest.mark.parametrize("x", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9])
     def test_small_x_meets_tol(self, x):
