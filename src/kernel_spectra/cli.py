@@ -11,7 +11,8 @@ measurements and the wall time of each step.
 runs the iterated-kernel cross-check on the same grid and prints its
 record: the first kernel eigenvalues, their relative discrepancies against
 the iterated-kernel matrix eigenvalues, that matrix's gate residual, the
-Hilbert-Schmidt norm, the wall time of the matrix fill and of its
+squared Hilbert-Schmidt norm and its error against the exact value
+1/4 + log 2pi + zeta''(0), the wall time of the matrix fill and of its
 eigensolve, and k2_fill_workers, the number of processes that filled the
 matrix in row stripes (1 when the fill ran in-process).
 ``python -m kernel_spectra.cli`` runs the same commands.
@@ -19,8 +20,9 @@ matrix in row stripes (1 when the fill ran in-process).
 Neither command loads scipy: no path of the package imports it.
 
 Both records end with ``env``: numpy's BLAS library, the BLAS thread
-variables (null when unset) and the usable CPUs, on which the last digits
-and the wall time of an eigensolve depend.
+variables (null when unset) and the usable CPUs (os.cpu_count() where os
+has no sched_getaffinity), on which the last digits and the wall time of
+an eigensolve depend.
 """
 
 from __future__ import annotations
@@ -42,11 +44,13 @@ _ORDER = 4
 
 def _environment() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    # os has no sched_getaffinity on macOS and Windows
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return {
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "threads": {var: os.environ.get(var)
                     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
-        "cpus": len(os.sched_getaffinity(0)),
+        "cpus": cpus,
     }
 
 
@@ -81,6 +85,7 @@ def _k2_record(n: int) -> dict:
         "rel_discrepancies": xc.rel_discrepancies.tolist(),
         "residual": xc.residual,
         "hs_norm_sq": xc.hs_norm_sq,
+        "hs_norm_error": xc.hs_norm_error,
         "k2_fill_s": xc.fill_s,
         "k2_fill_workers": xc.fill_workers,
         "eigensolve_s": xc.eigensolve_s,

@@ -51,7 +51,7 @@ import numpy as np
 # k2_closed (one entry of the K2 fill, unused here) stays importable from
 # here: bench/test_bench.py checks that the span tracer wraps it in this module
 from .iterated import _k2_row, k2_closed, k2_diag_exact  # noqa: F401
-from .kernel import k_eval
+from .kernel import _HS_NORM_SQ, k_eval
 from .quadrature import QuadratureRule
 
 __all__ = [
@@ -328,7 +328,9 @@ class K2CrossCheck:
     the iterated-kernel operator with 1/lambda_{h+1}^2 from the direct
     spectrum.  k2_matrix_eigenvalues holds the full iterated-route matrix
     spectrum (descending), trace_partial_sums the running sums of
-    1/lambda_j^2, and hs_norm_sq the grid integral of the exact diagonal.
+    1/lambda_j^2, hs_norm_sq the grid integral of the exact diagonal, and
+    hs_norm_error its distance to the exact ||K||_HS^2
+    (kernel._HS_NORM_SQ).
     residual is the eigensolver gate's max|A V - V diag(mu)| on the
     iterated-kernel matrix, within K2_EIGEN_TOL.  fill_s and eigensolve_s
     are the wall times of that matrix's fill and of its eigensolve, and
@@ -344,6 +346,10 @@ class K2CrossCheck:
     fill_s: float = 0.0
     eigensolve_s: float = 0.0
     fill_workers: int = 1
+
+    @property
+    def hs_norm_error(self) -> float:
+        return self.hs_norm_sq - _HS_NORM_SQ
 
 
 def _fill_workers(n: int) -> int:

@@ -63,6 +63,7 @@ def test_k2_json_matches_library(capsys):
     assert record["eigenvalues"] == spec.eigenvalues[:10].tolist()
     assert record["rel_discrepancies"] == xc.rel_discrepancies.tolist()
     assert record["hs_norm_sq"] == xc.hs_norm_sq
+    assert record["hs_norm_error"] == xc.hs_norm_error
     assert 0.0 <= record["residual"] <= K2_EIGEN_TOL
     assert record["k2_fill_s"] > 0.0 and record["eigensolve_s"] > 0.0
     assert record["k2_fill_workers"] == xc.fill_workers
@@ -75,8 +76,20 @@ def test_k2_text_output(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == [
         "n", "count", "eigenvalues", "rel_discrepancies", "residual", "hs_norm_sq",
-        "k2_fill_s", "k2_fill_workers", "eigensolve_s", "env",
+        "hs_norm_error", "k2_fill_s", "k2_fill_workers", "eigensolve_s", "env",
     ]
+
+
+def test_runs_without_sched_getaffinity(capsys, monkeypatch):
+    # as on macOS and Windows: the usable CPUs fall back to os.cpu_count(),
+    # and the K2 fill runs in-process
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert main(["spectrum", "--n", "8", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["env"]["cpus"] == os.cpu_count()
+    assert main(["k2", "--n", "16", "--json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["env"]["cpus"] == os.cpu_count()
+    assert record["k2_fill_workers"] == 1
 
 
 @pytest.mark.parametrize("n", ["0", "-4", "30"])

@@ -1,12 +1,53 @@
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kernel_spectra import kernel
 from kernel_spectra.kernel import delta_r, h_eval, k_eval
 from kernel_spectra.quadrature import composite_rule, kernel_breakpoints
+
+
+def _cutoff(a, b, r, tol, cap):
+    """delta_r's small-z cutoff z0."""
+    z0 = (0.5 * tol * (r + 1.0)) ** (1.0 / (r + 1.0))
+    return min(max(z0, (1.0 / a + 1.0 / b) / cap), 0.5)
+
+
+def _exact_truncated(a, b, r, z0):
+    """The integral of |K(a,z) - K(b,z)| z^r over [z0, 1] in 40-digit mpmath.
+
+    The panels lie between the breakpoints 1/(ka) and 1/(kb) of both rows;
+    on each the integrand is |c - d/z| z^r, c and d constant, which
+    integrates in closed form, split where c - d/z changes sign.
+    """
+    with mpmath.workdps(40):
+        a, b, r, z0 = (mpmath.mpf(v) for v in (a, b, r, z0))
+        cuts = {mpmath.mpf(1), z0}
+        for x in (a, b):
+            for k in range(int(mpmath.ceil(1 / x)), int(mpmath.floor(1 / (x * z0))) + 1):
+                cuts.add(1 / (k * x))
+        cuts = sorted(z for z in cuts if z0 <= z <= 1)
+        d = 1 / a - 1 / b
+
+        def g(c, z):  # an antiderivative of (c - d/z) z^r
+            if r == 0:
+                return c * z - d * mpmath.log(z)
+            return c * z ** (r + 1) / (r + 1) - d * z ** r / r
+
+        total = mpmath.mpf(0)
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            mid = (lo + hi) / 2
+            c = mpmath.floor(1 / (a * mid)) - mpmath.floor(1 / (b * mid))
+            ends = [lo, hi]
+            if c != 0 and lo < d / c < hi:
+                ends.insert(1, d / c)
+            total += sum(abs(g(c, v) - g(c, u)) for u, v in zip(ends[:-1], ends[1:]))
+        return +total
 
 
 class TestKEval:
@@ -157,6 +198,16 @@ class TestRowIntegrals:
         assert 0.05 < total < 0.12
 
 
+class TestHSNorm:
+    def test_constant_against_mpmath(self):
+        with mpmath.workdps(40):
+            by_zeta = 0.25 + mpmath.log(2 * mpmath.pi) + mpmath.zeta(0, derivative=2)
+            g, g1, l2pi = mpmath.euler, mpmath.stieltjes(1), mpmath.log(2 * mpmath.pi)
+            by_stieltjes = 0.25 + l2pi + g**2 / 2 - mpmath.pi**2 / 24 - l2pi**2 / 2 + g1
+            assert abs(by_zeta - by_stieltjes) < mpmath.mpf(10) ** -30
+            assert abs(kernel._HS_NORM_SQ - by_zeta) <= 1e-15
+
+
 class TestDeltaR:
     def test_zero_at_equal_rows(self):
         assert delta_r(0.5, 0.5, 0.0) == 0.0
@@ -173,16 +224,54 @@ class TestDeltaR:
         )
 
     @pytest.mark.parametrize("a, b, r, tol, cap, ref", [
-        (0.3, 0.7, 0.0, 1e-7, 100_000, 0.31377039576162424),
-        (0.9, 0.11, 1.0, 1e-7, 100_000, 0.1564425094238049),
-        (0.05, 0.06, -0.5, 1e-7, 100_000, 0.6530902248849006),
-        (0.5, 1.0, 2.0, 1e-9, 100_000, 0.07004395530954466),
-        (0.013, 0.47, 0.0, 1e-7, 2000, 0.31462916756179027),
+        (0.3, 0.7, 0.0, 1e-7, 100_000, 0.31377039576775566431),
+        (0.9, 0.11, 1.0, 1e-7, 100_000, 0.15644250942381461414),
+        (0.05, 0.06, -0.5, 1e-7, 100_000, 0.65309022462295976147),
+        (0.5, 1.0, 2.0, 1e-9, 100_000, 0.070043955309544656003),
+        (0.013, 0.47, 0.0, 1e-7, 2000, 0.31462916755953016119),
     ])
-    def test_bit_identical_breakpoints(self, a, b, r, tol, cap, ref):
-        # values of the former row-local breakpoint helper; the cutoff z0 is
-        # at most 1/2, so quadrature.merged_breakpoint_blocks yields the same panels
-        assert delta_r(a, b, r, tol=tol, cap=cap) == ref
+    def test_exact_truncated_integral(self, a, b, r, tol, cap, ref):
+        """The integral over [z0, 1] for delta_r's own z0, to 40 digits.
+
+        The references come from _exact_truncated at the same arguments,
+        12-25 s each at cap 100,000, too slow to run here:
+
+            z0 = _cutoff(a, b, r, tol, cap)
+            print(mpmath.nstr(_exact_truncated(a, b, r, z0), 20))
+        """
+        assert abs(delta_r(a, b, r, tol=tol, cap=cap) - ref) <= 1e-13
+
+    @pytest.mark.parametrize("a, b, r", [
+        (0.3, 0.7, 0.0), (0.3, 0.7, 1e-12), (0.3, 0.7, -1e-12), (0.3, 0.7, 0.05),
+        (0.3, 0.7, -0.5), (0.3, 0.7, 5.0),
+        (1.0, 0.37, 0.0), (0.37, 1.0, 1.0),     # a = 1, b = 1
+        (0.25, 0.5, 0.0), (0.5, 0.75, 1.0),     # ratios 1/2 and 2/3
+        (0.123, 0.123 * (1.0 + 1e-12), 0.0),    # near-equal rows
+        (0.05, 0.9, -0.9),
+    ])
+    def test_live_exact_at_small_cap(self, a, b, r):
+        v = delta_r(a, b, r, cap=500)
+        assert abs(v - float(_exact_truncated(a, b, r, _cutoff(a, b, r, 1e-7, 500)))) <= 1e-13
+
+    @pytest.mark.parametrize("a, b, r", [(0.3, 0.7, 0.0), (0.9, 0.11, 1.0), (0.05, 0.06, -0.5),
+                                         (0.01, 1.0, 0.05)])
+    def test_block_size_only_regroups_the_sum(self, a, b, r, monkeypatch):
+        v = delta_r(a, b, r)
+        monkeypatch.setattr(kernel, "_BLOCK", 64)
+        assert abs(delta_r(a, b, r) - v) <= 1e-13
+
+    def test_interval_count_bounded(self):
+        # z0 stops at 1/2, so min(a, b) alone sets the count, about 1/min(a, b)
+        assert 0.0 < delta_r(1e-7, 0.5, 0.0) <= 1.0
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=r"a = 1e-09, b = 0\.5"):
+            delta_r(1e-9, 0.5, 0.0)
+        assert time.perf_counter() - t0 < 1.0
+        with pytest.raises(ValueError, match=r"a = 0\.5, b = 1e-12"):
+            delta_r(0.5, 1e-12, 1.0)
+        # a large cap lowers z0 and raises the count the same way
+        with pytest.raises(ValueError, match="unit intervals"):
+            delta_r(0.3, 0.7, 0.0, cap=10**9)
 
     @pytest.mark.parametrize("a, b, r", [(0.01, 0.02, 0.0), (0.3, 0.7, 0.0), (0.05, 0.06, -0.5)])
     def test_cap_bound_error(self, a, b, r):
@@ -209,7 +298,7 @@ class TestDeltaR:
         assert abs(v - delta_r(a, b, 0.0)) <= abs(r) / (r + 1.0) ** 2 + 1e-9
 
     def test_memory_bounded(self, traced_peak):
-        # the default cap's 1e5 merged breakpoints, summed a block at a time
+        # about 5e4 unit intervals at the default cap, walked a block at a time
         _, peak = traced_peak(delta_r, 0.01, 0.011, 0.0)
         assert peak < 4e6
 

@@ -11,7 +11,7 @@ import pytest
 
 from kernel_spectra import spectra
 from kernel_spectra.iterated import K2Evaluator, k2_closed, k2_diag_exact
-from kernel_spectra.kernel import k_eval
+from kernel_spectra.kernel import _HS_NORM_SQ, k_eval
 from kernel_spectra.quadrature import QuadratureRule, uniform_rule
 from kernel_spectra.spectra import (
     _ROWS_PER_WORKER,
@@ -374,6 +374,15 @@ class TestCrossValidation:
         monkeypatch.setattr(spectra, "_assemble_k2", unreachable)
         with pytest.raises(ValueError, match=r"kernel_tol must be in \(0, 1\)"):
             cross_validate_k2(uniform_rule(4, 4), count=0, kernel_tol=kernel_tol)
+
+    def test_hs_norm_error_falls_with_n(self, xcheck256):
+        # the grid integral of the exact K2 diagonal against ||K||_HS^2:
+        # +3.4e-5 at N = 128, +3.1e-6 at N = 256
+        assert xcheck256.hs_norm_error == xcheck256.hs_norm_sq - _HS_NORM_SQ
+        assert 2.5e-6 < xcheck256.hs_norm_error < 3.5e-6
+        rule = uniform_rule(32, 4)
+        err128 = float(np.dot(rule.weights, [k2_diag_exact(float(t)) for t in rule.nodes])) - _HS_NORM_SQ
+        assert 3e-5 < err128 < 4e-5
 
     def test_iterated_matrix_psd(self, xcheck256):
         assert float(xcheck256.k2_matrix_eigenvalues.min()) >= -1e-10
