@@ -5,10 +5,11 @@ positive semidefinite, and small off the diagonal (|K2| is bounded by a
 constant times min{x,y}/max{x,y}).  Three independent evaluation routes:
 
 * quadrature: exact per-panel antiderivatives of the product of two
-  staircase rows on [eps, 1], eps = 2^-8, panels split at every jump of
-  either row, plus the closed form of the (0, eps] part (_k2_row at
-  eps); that correction is certified to tol at any eps, which sets only
-  the share of the definitional bulk (see k2_quadrature);
+  staircase rows on [eps, 1], eps = 2^-8, over the unit intervals of
+  the denser row in 1/(xz), each split at the one jump of the other row
+  inside, plus the closed form of the (0, eps] part (_k2_row at eps);
+  that correction is certified to tol at any eps, which sets only the
+  share of the definitional bulk (see k2_quadrature);
 * closed form: with t = 1/(xz), K2 is (1/x) times the integral of
   B~1(t) B~1(x t/y) t^-2 over [1/x, inf), which is one by-parts level
   (tails._by_parts_level at n = 2) plus the certified mixed tail, one row
@@ -24,8 +25,9 @@ Also here: the partial integrals int_0^x K2(z,y) dz (i0_eval) and
 int_x^y K2(z,w) dz/z^2 (i_eval), by Fubini on K2 = int K K: the z-integral
 of K(z,t) is a Bernoulli antiderivative in closed form, and what is left
 over t is the certified mixed tail int_A^inf B2~(s) B1~(alpha s) s^-3 ds.
-i0_eval has k2_quadrature's shape: an exact panel sum on merged
-breakpoints down to a cutoff, and that mixed tail below it.
+i0_eval has k2_quadrature's shape: an exact panel sum down to a cutoff,
+on the panels of the same unit-interval walk (_panel_sum), and that mixed
+tail below it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 
 from .bernoulli import _stirling_bracket, bernoulli_tilde
 from .kernel import k_eval
-from .quadrature import merged_breakpoint_blocks
+from .quadrature import _unit_intervals
 from .tails import _MAX_TERMS, _by_parts_level, _check_count, _z, mixed_power_tail
 
 __all__ = [
@@ -114,35 +116,53 @@ def k2_closed(x: float, y: float, evaluator: K2Evaluator | None = None) -> float
     return float(_k2_row(min(x, y), np.array([max(x, y)]), ev.tol)[0])
 
 
-def _merged_panel_sum(x: float, y: float, cutoff: float, panel) -> float:
-    """The sum of panel(lo, hi, mid, dz) over the merged panels of the rows x and y on [cutoff, 1].
+def _panel_sum(x: float, y: float, cutoff: float, panel) -> float:
+    """Sum panel(lo, hi, mid, dz) over the z-panels of [cutoff, 1] on which neither row x nor y jumps.
 
-    The panels come from merged_breakpoint_blocks a bounded block at a
-    time; each block's terms are summed and added to the total in block
-    order.
+    With a = min(x, y) and b = max(x, y), quadrature._unit_intervals walks
+    the unit intervals [m, m+1] of u = 1/(a z).  Such an interval is the
+    z-range [1/(a (m+1)), 1/(a m)], and the row b jumps inside it at most
+    at J = 1/((k + 1) b), here clipped into it, so its panels are
+    [1/(a (m+1)), J] and [J, 1/(a m)]; where the row b does not jump, one
+    of the two is empty, and panel must give exactly 0 on it.  The
+    outermost edges are exactly 1 and cutoff.  Per block, the two panels
+    of each interval are added, and the block's sum is added to the total
+    in ascending u.
     """
+    a, b = min(x, y), max(x, y)
+    u_lo, u_hi = 1.0 / a, 1.0 / (a * cutoff)
     total = 0.0
-    for cuts in merged_breakpoint_blocks(x, y, cutoff):
-        lo = cuts[:-1]
-        hi = cuts[1:]
-        total += float(np.sum(panel(lo, hi, 0.5 * (lo + hi), hi - lo)))
+    for edges, k, _ in _unit_intervals(a / b, u_lo, u_hi):
+        z = 1.0 / (edges * a)
+        if edges[0] == u_lo:
+            z[0] = 1.0
+        if edges[-1] == u_hi:
+            z[-1] = cutoff
+        lo, hi = z[1:], z[:-1]
+        jump = np.clip(1.0 / ((k + 1.0) * b), lo, hi)
+        terms = panel(lo, jump, 0.5 * (lo + jump), jump - lo)
+        terms += panel(jump, hi, 0.5 * (jump + hi), hi - jump)
+        total += float(np.sum(terms))
     return total
 
 
-# k2_quadrature takes min(x, y) >= sqrt(_QUAD_ROUNDING/tol), where the
-# rounding of its bulk, measured at up to 8.2e-15/x^2, is below tol/2
+# k2_quadrature takes min(x, y) >= sqrt(_QUAD_ROUNDING/tol).  The rounding
+# of its bulk was measured at up to 2.6e-14/x^2, so just above this floor
+# it can exceed tol by about a third (see k2_quadrature)
 _QUAD_ROUNDING = 2e-14
 
 
 def k2_quadrature(x: float, y: float, evaluator: K2Evaluator | None = None) -> float:
     """Definitional integral int_0^1 K(x,z) K(z,y) dz; x, y in [0, 1].
 
-    On [eps, 1] both rows are staircases in 1/z, so each merged panel has
-    the exact antiderivative c1 c2 z - (c1/y + c2/x) log z - 1/(x y z).
-    The (0, eps] remainder is _k2_row at eps, the closed form from
-    1/(x eps), certified to tol for any eps.  So eps only splits the work:
-    the bulk costs about 1/(x eps) + 1/(y eps) merged panels, the
-    correction hardly depends on eps.  eps is the fixed 2^-8 (1/(x 4e6) for
+    On [eps, 1] both rows are staircases in 1/z.  _panel_sum walks the
+    unit intervals of 1/(x z), x the smaller argument, and splits each at
+    the one jump of the row y inside, so each panel has the exact
+    antiderivative c1 c2 z - (c1/y + c2/x) log z - 1/(x y z).  The (0, eps]
+    remainder is _k2_row at eps, the closed form from 1/(x eps), certified
+    to tol for any eps.  So eps only splits the work: the bulk walks about
+    1/(x eps) unit intervals, two panels each, and the correction hardly
+    depends on eps.  eps is the fixed 2^-8 (1/(x 4e6) for
     x below 6.4e-5, which bounds the panel count): the bulk still covers
     [1/256, 1] from the definition, and the part shared with k2_closed is
     at most eps/4 (|K| <= 1/2; below 5e-6 on 300 seeded pairs in
@@ -155,11 +175,16 @@ def k2_quadrature(x: float, y: float, evaluator: K2Evaluator | None = None) -> f
 
     The bulk's panel terms cancel by about 1/(x y z^2), and their rounding
     reaches tol below a floor on the smaller argument: against k2_closed at
-    tol 1e-12 it was up to 8.2e-15/x^2 (x in [1e-4, 0.05], y from x to 1,
-    worst near y = 1.4 x; math.fsum of the terms changes nothing).  So
-    min(x, y) below sqrt(_QUAD_ROUNDING/tol), where that bound is 0.41 tol,
-    raises ValueError: 1.4e-3 at tol 1e-8, 4.5e-4 at 1e-7.  A zero argument
-    returns 0.
+    tol 1e-14 it was up to 2.6e-14/x^2 on 320 seeded pairs (x in
+    [1e-4, 0.05], y/x from 1 to 20), worst at y = 1.001 x.  math.fsum of
+    the terms changes nothing, and the same panels' terms formed and summed
+    in np.longdouble come about 50 times closer, so this is the float64
+    rounding of the terms.
+    min(x, y) below sqrt(_QUAD_ROUNDING/tol) raises ValueError: 1.4e-3 at
+    tol 1e-8, 4.5e-4 at 1e-7.  That floor is below the point where the
+    rounding bound is tol, and just above it the route misses tol: by
+    1.15 tol at tol 1e-7, x = 4.796e-4 (1.0725 times the floor) and
+    y = 1.001 x.  A zero argument returns 0.
     """
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
         raise ValueError("k2_quadrature requires x, y in [0, 1]")
@@ -183,8 +208,8 @@ def k2_quadrature(x: float, y: float, evaluator: K2Evaluator | None = None) -> f
         # and would cancel catastrophically near the cutoff
         return c1 * c2 * dz - (c1 * v + c2 * u) * np.log1p(dz / lo) + u * v * dz / (hi * lo)
 
-    # near x = 0.002 the rows have ~1/(x eps) = 1.3e5 merged breakpoints
-    return _merged_panel_sum(x, y, eps, panel) + float(_k2_row(x, np.array([y]), tol, eps)[0])
+    # near x = 0.002 the walk takes ~1/(x eps) = 1.3e5 unit intervals
+    return _panel_sum(x, y, eps, panel) + float(_k2_row(x, np.array([y]), tol, eps)[0])
 
 
 def k2_diag_exact(x: float) -> float:
@@ -220,9 +245,10 @@ def i0_eval(x: float, y: float, tol: float = 1e-8) -> float:
     With n = floor(1/(xt)), the Euler limit (zeta.euler_limit_residual)
     gives Phi(t) = int_0^x K(z,t) dz = (c_n - log t)/t + e, where
     c_n = -psi(n+1) - log x - 1 and e = x (n + 1/2).  Bulk, t in [1/U, 1]:
-    on a merged panel [lo, hi] of the rows x and y, K(t,y) = d - v/t with
-    v = 1/y, d = floor(v/t) + 1/2, and Phi = (c - log(t/lo))/t + e with
-    c = c_n - log lo; with dz = hi - lo and L = log1p(dz/lo), exactly
+    on a panel [lo, hi] of _panel_sum, where neither row x nor row y
+    jumps, K(t,y) = d - v/t with v = 1/y, d = floor(v/t) + 1/2, and
+    Phi = (c - log(t/lo))/t + e with c = c_n - log lo; with dz = hi - lo
+    and L = log1p(dz/lo), exactly
 
       int K Phi dt = d (c L - L^2/2 + e dz) - v (((c - 1) dz + lo L)/(hi lo) + e L).
 
@@ -232,8 +258,9 @@ def i0_eval(x: float, y: float, tol: float = 1e-8) -> float:
     s^-3 ds, the certified mixed_power_tail (tol/2 after halving).  The G
     part, int_U^inf B1~(u/y) G(u/x) du/u, is at most _B2_TAIL_SUP x^3/(6U^3),
     tol/4 at U = max(1, (_B2_TAIL_SUP x^3/(1.5 tol))^(1/3)), and is dropped;
-    at U = 1 there is no bulk.  A tol that needs more than _MAX_TERMS (2^24)
-    bulk panels raises ValueError before any work.  Quadrature of
+    at U = 1 there is no bulk.  The bulk walks (U - 1)/min(x, y) unit
+    intervals; a tol where (U - 1)(1/x + 1/y), at least that count, exceeds
+    _MAX_TERMS (2^24) raises ValueError before any work.  Quadrature of
     z -> K2(z, y) converges too slowly: K2 has derivative kinks on the
     dense set z = m y / j.
     """
@@ -254,8 +281,8 @@ def i0_eval(x: float, y: float, tol: float = 1e-8) -> float:
         L = np.log1p(dz / lo)
         return d * (c * L - 0.5 * L * L + e * dz) - v * (((c - 1.0) * dz + lo * L) / (hi * lo) + e * L)
 
-    # on about (U - 1)(1/x + 1/y) panels, U <= 2.8e3 x at tol 1e-12
-    bulk = _merged_panel_sum(x, y, 1.0 / U, panel) if U > 1.0 else 0.0
+    # (U - 1)/min(x, y) unit intervals, two panels each; U <= 2.8e3 x at tol 1e-12
+    bulk = _panel_sum(x, y, 1.0 / U, panel) if U > 1.0 else 0.0
     return bulk - 0.5 * mixed_power_tail(U / x, x / y, tol)
 
 

@@ -5,11 +5,12 @@ where 1/xy crosses an integer.  delta_r measures L^1-type distance between
 two rows against the weight z^r.  In u = 1/(az), a the smaller (denser)
 row, the difference of the rows is frac(alpha u) - frac(u) with
 alpha = a/b; on each unit interval of u it is linear but for at most one
-jump and changes sign once, so delta_r walks those intervals and
-integrates each in closed form.  The only approximation is the small-z
-cutoff z0, which drops at most z0^(r+1)/(r+1): tol/2 unless cap moves z0
-up.  cap bounds the interval count, about 1/(a z0), except where z0 stops
-at 1/2; past 2^24 intervals delta_r raises ValueError.
+jump and changes sign once, so delta_r walks those intervals
+(quadrature._unit_intervals, the walker of the iterated-kernel integrals
+too) and integrates each in closed form.  The only approximation is the
+small-z cutoff z0, which drops at most z0^(r+1)/(r+1): tol/2 unless cap
+moves z0 up.  cap bounds the interval count, about 1/(a z0), except where
+z0 stops at 1/2; past 2^24 intervals delta_r raises ValueError.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 
 import numpy as np
 
+from .quadrature import _unit_intervals
 from .tails import _MAX_TERMS
 
 __all__ = ["k_eval", "h_eval", "delta_r"]
@@ -91,8 +93,6 @@ def h_eval(v):
     return out
 
 
-
-
 def delta_r(a: float, b: float, r: float, tol: float = 1e-7,
             cap: int = 100_000) -> float:
     """Integral over [0,1] of |K(a,z) - K(b,z)| z^r.
@@ -145,11 +145,6 @@ def delta_r(a: float, b: float, r: float, tol: float = 1e-7,
     return total / (dense * (r + 1.0))
 
 
-# unit intervals per block of _delta_r_walk; each of its temporaries is
-# 64 kB, under glibc's 128 kB mmap threshold
-_BLOCK = 1 << 13
-
-
 def _delta_r_walk(a: float, alpha: float, r: float, lo: float, hi: float) -> float:
     """(r + 1) a^(-r) times the integral of |frac(alpha u) - frac(u)| u^(-r-2) over [lo, hi].
 
@@ -173,35 +168,27 @@ def _delta_r_walk(a: float, alpha: float, r: float, lo: float, hi: float) -> flo
     against another and no 1/r at small r.  c0 and beta u grow like m while
     their difference stays below 1, so the two brackets cancel by a factor
     of about m; the relative form keeps that cancellation to the ulps of
-    the brackets themselves.  Blocks of _BLOCK intervals are summed in
-    ascending u, and the value depends on the block size only through that
+    the brackets themselves.  The intervals come from
+    quadrature._unit_intervals, whose blocks of _BLOCK intervals are summed
+    in ascending u; the value depends on the block size only through that
     summation.
     """
     beta = 1.0 - alpha
     # the G2 bracket's factor, the G1 brackets' 1/(r + 1) taken out
     g2_factor = -beta if r == 0.0 else beta * (r + 1.0) / r
     total = 0.0
-    first, last = math.floor(lo), math.ceil(hi)
-    for m0 in range(first, last, _BLOCK):
-        m1 = min(m0 + _BLOCK, last)
-        edges = np.arange(m0, m1 + 1, dtype=float)
+    for edges, k, theta in _unit_intervals(alpha, lo, hi):
         left, right = edges[:-1], edges[1:]
-        theta = alpha * left
-        c0 = np.floor(theta)
-        theta -= c0
-        np.subtract(left, c0, out=c0)
+        m = np.floor(left)
+        c0 = np.subtract(m, k, out=k)
         jump = theta >= beta
         # theta/beta when theta < beta, else (1 - theta)/alpha, the smaller of the two
         w = theta * (1.0 / beta)
         np.subtract(1.0, theta, out=theta)
         theta *= 1.0 / alpha
         np.minimum(w, theta, out=w)
-        w += left
-        if m0 == first:
-            edges[0] = lo
-            w[0] = max(w[0], lo)
-        if m1 == last:
-            edges[-1] = hi
+        w += m
+        np.maximum(w, left, out=w)  # w >= m: only the first interval, clipped at lo, moves
         np.minimum(w, right, out=w)
         g1_right, e_right = _from_left(left, right, r)
         g1_w, e_w = _from_left(left, w, r)

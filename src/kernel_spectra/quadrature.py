@@ -4,6 +4,10 @@ The kernel rows are piecewise smooth with jumps at z = 1/(m x), so all
 integration here is panel-based: a base Gauss rule on [-1, 1] mapped
 affinely into each panel.  Interior Gauss nodes never land on panel
 boundaries, which is what keeps kernel evaluations off the jump set.
+
+Integrals of two rows take no Gauss rule: _unit_intervals walks the unit
+intervals of the denser row in u = 1/(a z), and the integrand is in closed
+form between their ends and the one jump of the other row inside each.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ __all__ = [
     "gauss_legendre",
     "composite_rule",
     "kernel_breakpoints",
-    "merged_breakpoint_blocks",
     "uniform_rule",
     "QuadratureRule",
     "DEFAULT_PANELS",
@@ -102,50 +105,48 @@ def kernel_breakpoints(x: float, cutoff: float) -> np.ndarray:
     """Ascending panel boundaries for the row z -> K(x, z) on [cutoff, 1].
 
     The row jumps exactly at z = 1/(m x) for integers m; every such point
-    inside (cutoff, 1] becomes a boundary, with cutoff and 1 appended.
+    inside (cutoff, 1] becomes a boundary, with cutoff and 1 appended.  No
+    library code calls it: the oracle rules of tests/test_quadrature.py
+    (test_kernel_row_on_breakpoint_panels), tests/test_kernel.py
+    (TestRowIntegrals) and tests/test_tails.py (TestKernelMoment's
+    test_direct_quadrature_oracle) are built on it.
     """
     if not 0.0 < x <= 1.0:
         raise ValueError(f"x must be in (0, 1], got {x}")
     if not 0.0 < cutoff < 1.0:
         raise ValueError(f"cutoff must be in (0, 1), got {cutoff}")
-    # 1/(m x) falls strictly with m, so the reversed points ascend
-    return np.concatenate(([cutoff], _row_points_between(x, cutoff, cutoff, 1.0)[::-1], [1.0]))
+    # 1/(m x) falls strictly with m, so descending m gives ascending points
+    m = np.arange(math.ceil(1.0 / (x * cutoff)) - 1, math.ceil(1.0 / x) - 1, -1, dtype=float)
+    z = 1.0 / (m * x)
+    return np.concatenate(([cutoff], z[(z > cutoff) & (z < 1.0)], [1.0]))
 
 
-def _row_points_between(x: float, cutoff: float, lo: float, hi: float) -> np.ndarray:
-    """The points of kernel_breakpoints(x, cutoff) strictly between lo and hi, cutoff <= lo < hi <= 1."""
-    m_lo = max(math.ceil(1.0 / x), math.floor(1.0 / (x * hi)) - 1)
-    m_hi = min(math.ceil(1.0 / (x * cutoff)) - 1, math.ceil(1.0 / (x * lo)) + 1)
-    if m_hi < m_lo:
-        return np.empty(0)
-    z = 1.0 / (np.arange(m_lo, m_hi + 1, dtype=float) * x)
-    return z[(z > lo) & (z < hi)]
+# unit intervals per block of _unit_intervals, and zeta.em_identity_residual's
+# block of trapezoid defects: each array of a block is 64 kB, under glibc's
+# 128 kB mmap threshold, so that it is not mapped and unmapped every block
+_BLOCK = 1 << 13
 
 
-def merged_breakpoint_blocks(x: float, y: float, cutoff: float, size: int = 1 << 14):
-    """The union of kernel_breakpoints(x, cutoff) and kernel_breakpoints(y, cutoff) in blocks.
+def _unit_intervals(alpha: float, lo: float, hi: float):
+    """The unit intervals [m, m+1] of u that meet [lo, hi], _BLOCK at a time, in ascending u.
 
-    Yields ascending arrays of about `size` points at most, from high z to
-    low; consecutive blocks share their end point, so the panels between
-    neighbours inside the blocks are exactly the panels of the union.  The
-    block ends are points of the denser row, every size/2-th, so memory
-    stays bounded however many points the rows have.  Each row's points in
-    a block form one ascending run, so a stable sort merges the two runs in
-    linear time and dropping equal neighbours leaves the sorted union.
+    For 0 < alpha <= 1 and 1 <= lo < hi.  Yields (edges, k, theta) per
+    block: the edges m0, ..., m1, the first and last clipped to lo and hi,
+    and for each interval's m, k = floor(alpha m) and theta = alpha m - k.
+    Put u = 1/(a z) with a the denser row and alpha = a/b.  Then K(a, .)
+    jumps at every integer u and K(b, .) where alpha u is an integer, so
+    inside [m, m+1] at most once, at u = (k + 1)/alpha, which lies inside
+    when theta >= 1 - alpha.  This is the one enumeration of two rows'
+    jumps: kernel.delta_r integrates each interval in closed form, and
+    iterated._panel_sum cuts each at that jump into two z-panels.
     """
-    if not (0.0 < x <= 1.0 and 0.0 < y <= 1.0):
-        raise ValueError(f"x and y must be in (0, 1], got {x}, {y}")
-    if not 0.0 < cutoff < 1.0:
-        raise ValueError(f"cutoff must be in (0, 1), got {cutoff}")
-    if x > y:
-        x, y = y, x
-    m_lo, m_hi = math.ceil(1.0 / x), math.ceil(1.0 / (x * cutoff)) - 1
-    step = max(size // 2, 1)
-    ends = 1.0 / (np.arange(m_lo + step, m_hi + 1, step, dtype=float) * x)
-    ends = np.concatenate(([1.0], ends[(ends > cutoff) & (ends < 1.0)], [cutoff]))
-    for hi, lo in zip(ends[:-1].tolist(), ends[1:].tolist()):
-        # _row_points_between yields descending z: [lo, row x, row y, hi] is two ascending runs
-        pts = np.concatenate(([lo], _row_points_between(x, cutoff, lo, hi)[::-1],
-                              _row_points_between(y, cutoff, lo, hi)[::-1], [hi]))
-        pts.sort(kind="stable")
-        yield pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
+    first, last = math.floor(lo), math.ceil(hi)
+    for m0 in range(first, last, _BLOCK):
+        m1 = min(m0 + _BLOCK, last)
+        edges = np.arange(m0, m1 + 1, dtype=float)
+        theta = alpha * edges[:-1]
+        k = np.floor(theta)
+        theta -= k
+        edges[0] = max(m0, lo)
+        edges[-1] = min(m1, hi)
+        yield edges, k, theta

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bernoulli import _stirling_bracket
 from .kernel import h_eval, k_eval
-from .quadrature import composite_rule
+from .quadrature import _BLOCK, composite_rule
 from .tails import (_EM_BERNOULLI, _EM_SHIFT, _MAX_TERMS, _check_count, _check_tol, _moment_scale, _z,
                     kernel_moment, tilde_power_tail)
 
@@ -221,11 +221,6 @@ def _power_panel_integral(s: float, x: float, a, b):
     return c * a ** (-s) * -np.expm1(-s * L) / s
 
 
-# em_identity_residual's trapezoid defects are summed this many at a time, so
-# that their memory does not grow with the count
-_DEFECT_BLOCK = 1 << 14
-
-
 def em_identity_residual(s: float, x: float, tol: float = 1e-10) -> float:
     """Residual of the Euler-Maclaurin action identity for f(y) = y^s:
 
@@ -258,9 +253,10 @@ def em_identity_residual(s: float, x: float, tol: float = 1e-10) -> float:
         return (nu * x) ** (-s - 1.0) / (s + 1.0)
 
     defects = 0.0
-    # m_cap reaches 4e5 near x = 0.01, s = 0; the defects are summed a block at a time
-    for b0 in range(n0, m_cap + 1, _DEFECT_BLOCK):
-        n = np.arange(b0, min(b0 + _DEFECT_BLOCK, m_cap + 1), dtype=float)
+    # m_cap reaches 4e5 near x = 0.01, s = 0; the defects are summed _BLOCK at
+    # a time, so that their memory does not grow with the count
+    for b0 in range(n0, m_cap + 1, _BLOCK):
+        n = np.arange(b0, min(b0 + _BLOCK, m_cap + 1), dtype=float)
         defects += float(np.sum(0.5 * (g(n) + g(n + 1.0)) - _power_panel_integral(s, x, n, n + 1.0)))
     series_minus_integral = (
         0.5 * g(float(n0))

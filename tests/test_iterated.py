@@ -137,7 +137,8 @@ class TestRouteAgreement:
     def test_quadrature_rounding_floor(self):
         # below min(x, y) = sqrt(2e-14/tol) the bulk's rounding nears tol
         # (7.7e-8 at (1e-4, 1.01e-4), tol 1e-8): rejected by name; just above
-        # it, at the worst ratio y/x ~ 1.4, the quadrature still meets tol
+        # it, at y/x = 1.37, the quadrature meets tol (at y/x = 1.001 it can
+        # miss tol by 15% there; see k2_quadrature)
         for tol in (1e-7, 1e-8, 1e-11):
             ev = K2Evaluator(tol=tol)
             floor = math.sqrt(2e-14 / tol)
@@ -151,9 +152,9 @@ class TestRouteAgreement:
         assert abs(k2_quadrature(x, 1.37 * x, ev) - exact) <= ev.tol
 
     def test_quadrature_memory_bounded(self, traced_peak):
-        # the rows of x = 0.002 and 0.00202 have 2.5e5 merged breakpoints
-        # above eps = 2^-8; they are summed in blocks, so the peak stays far
-        # below that many floats
+        # above eps = 2^-8 the denser row of x = 0.002 and 0.00202 has 1.3e5
+        # unit intervals, 2.5e5 panels with the other row's jumps; they are
+        # summed in blocks, so the peak stays far below that many floats
         for x, y in [(0.01, 0.0101), (0.002, 0.00202)]:
             quad, peak = traced_peak(k2_quadrature, x, y)
             assert peak < 4e6

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernel_spectra import kernel
+from kernel_spectra import kernel, quadrature
+from kernel_spectra.iterated import i0_eval, k2_quadrature
 from kernel_spectra.kernel import delta_r, h_eval, k_eval
 from kernel_spectra.quadrature import composite_rule, kernel_breakpoints
 
@@ -253,12 +254,20 @@ class TestDeltaR:
         v = delta_r(a, b, r, cap=500)
         assert abs(v - float(_exact_truncated(a, b, r, _cutoff(a, b, r, 1e-7, 500)))) <= 1e-13
 
-    @pytest.mark.parametrize("a, b, r", [(0.3, 0.7, 0.0), (0.9, 0.11, 1.0), (0.05, 0.06, -0.5),
-                                         (0.01, 1.0, 0.05)])
-    def test_block_size_only_regroups_the_sum(self, a, b, r, monkeypatch):
-        v = delta_r(a, b, r)
-        monkeypatch.setattr(kernel, "_BLOCK", 64)
-        assert abs(delta_r(a, b, r) - v) <= 1e-13
+    @pytest.mark.parametrize("f, args", [
+        pytest.param(delta_r, args, id="-".join(map(str, args)))
+        for args in [(0.3, 0.7, 0.0), (0.9, 0.11, 1.0), (0.05, 0.06, -0.5), (0.01, 1.0, 0.05)]
+    ] + [
+        # the other callers of the unit-interval walker
+        pytest.param(k2_quadrature, (0.02, 0.03), id="k2_quadrature-0.02-0.03"),
+        pytest.param(k2_quadrature, (0.7, 0.013), id="k2_quadrature-0.7-0.013"),
+        pytest.param(i0_eval, (0.5, 0.07, 1e-12), id="i0_eval-0.5-0.07"),
+        pytest.param(i0_eval, (0.3, 0.9, 1e-12), id="i0_eval-0.3-0.9"),
+    ])
+    def test_block_size_only_regroups_the_sum(self, f, args, monkeypatch):
+        v = f(*args)
+        monkeypatch.setattr(quadrature, "_BLOCK", 64)
+        assert abs(f(*args) - v) <= 1e-13
 
     def test_interval_count_bounded(self):
         # z0 stops at 1/2, so min(a, b) alone sets the count, about 1/min(a, b)

@@ -13,6 +13,7 @@ _CALLS = [
     ("tails", "bn_series", (2, 0.37, 2, 3)),
     ("tails", "mixed_power_tail", (2.0, 0.7)),
     ("tails", "kernel_moment", (0.2, 1.5)),
+    ("iterated", "k2_quadrature", (0.3, 0.7)),
     ("iterated", "i0_eval", (0.4, 0.5)),
     ("iterated", "i_eval", (0.3, 0.6, 0.5)),
     ("zeta", "zeta", (-0.5,)),

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kernel_spectra import quadrature
+from kernel_spectra.iterated import _panel_sum
 from kernel_spectra.kernel import k_eval
 from kernel_spectra.quadrature import (
     DEFAULT_ORDER,
@@ -13,7 +16,6 @@ from kernel_spectra.quadrature import (
     composite_rule,
     gauss_legendre,
     kernel_breakpoints,
-    merged_breakpoint_blocks,
     uniform_rule,
 )
 
@@ -201,39 +203,83 @@ class TestKernelBreakpoints:
         assert np.all(interior <= 1.0)
 
 
+def _row_panels(x, y, cutoff, block):
+    """The nonempty z-panels of iterated._panel_sum, in ascending z, and its panel arrays' sizes."""
+    lo, hi = [], []
+
+    def record(p, q, mid, dz):
+        lo.append(p.copy())
+        hi.append(q.copy())
+        return np.zeros_like(p)
+
+    with mock.patch.object(quadrature, "_BLOCK", block):
+        assert _panel_sum(x, y, cutoff, record) == 0.0
+    sizes = [p.size for p in lo]
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    keep = hi > lo
+    order = np.argsort(lo[keep])
+    return lo[keep][order], hi[keep][order], sizes
+
+
+def _assert_near(points, ref):
+    """Each of the ascending points is within 4 ulps of a point of the ascending ref."""
+    i = np.clip(np.searchsorted(ref, points), 1, ref.size - 1)
+    gap = np.minimum(np.abs(points - ref[i - 1]), np.abs(ref[i] - points))
+    assert np.all(gap <= 4.0 * np.spacing(points))
+
+
 class TestMergedBreakpointBlocks:
+    """_panel_sum's blocks of z-panels, cut from the unit-interval walker, lie between the merged jumps of two rows."""
+
+    # 2^13 is the walker's own block size, 2^14 one larger
+    BLOCKS = [4, 16, 256, 1 << 13, 1 << 14]
+
+    def _check(self, x, y, cutoff, block):
+        lo, hi, _ = _row_panels(x, y, cutoff, block)
+        # a tiling of [cutoff, 1]: each panel starts where the one below ends
+        assert lo[0] == cutoff and hi[-1] == 1.0
+        np.testing.assert_array_equal(lo[1:], hi[:-1])
+        # the edges are the union of both rows' breakpoints up to a few ulps:
+        # a jump a few ulps from the other row's falls on it, and a jump a few
+        # ulps above the cutoff may be missing from kernel_breakpoints
+        edges = np.concatenate((lo, [1.0]))
+        union = np.union1d(kernel_breakpoints(x, cutoff), kernel_breakpoints(y, cutoff))
+        _assert_near(edges, union)
+        _assert_near(union, edges)
+        # neither row jumps inside a panel: floor(1/(row z)), the step of
+        # K(row, z) = 1/2 + floor(1/(row z)) - 1/(row z), rounded as k_eval
+        # rounds it, is one constant.  A jump's float position is a few ulps
+        # from the panel edge it belongs at, so the probes sit 1/64 of the
+        # panel inside; a panel under 2^-40 z wide is exempt, and even a jump
+        # inside it would move an integral by less than its width
+        wide = hi - lo > 2.0**-40 * hi
+        lo, hi = lo[wide], hi[wide]
+        dz = (hi - lo) / 64.0
+        for row in (x, y):
+            mid = np.floor(1.0 / (row * (0.5 * (lo + hi))))
+            np.testing.assert_array_equal(np.floor(1.0 / (row * (lo + dz))), mid)
+            np.testing.assert_array_equal(np.floor(1.0 / (row * (hi - dz))), mid)
+
     @given(
         x=st.floats(min_value=0.05, max_value=1.0),
         y=st.floats(min_value=0.05, max_value=1.0),
         cutoff=st.floats(min_value=0.002, max_value=0.95),
-        size=st.sampled_from([4, 16, 256, 1 << 14]),
+        block=st.sampled_from(BLOCKS),
     )
     @settings(max_examples=100, deadline=None)
-    def test_panels_are_the_union(self, x, y, cutoff, size):
-        union = np.union1d(kernel_breakpoints(x, cutoff), kernel_breakpoints(y, cutoff))
-        blocks = list(merged_breakpoint_blocks(x, y, cutoff, size))
-        panels = np.concatenate([np.stack((b[:-1], b[1:]), axis=1) for b in blocks])
-        panels = panels[np.argsort(panels[:, 0])]
-        np.testing.assert_array_equal(panels, np.stack((union[:-1], union[1:]), axis=1))
+    def test_panels_are_the_union(self, x, y, cutoff, block):
+        self._check(x, y, cutoff, block)
 
-    @pytest.mark.parametrize("size", [4, 16, 256, 1 << 14])
+    @pytest.mark.parametrize("block", BLOCKS)
     @pytest.mark.parametrize("x, y", [(0.25, 0.5), (0.2, 0.3), (0.1, 0.3), (0.5, 0.5)])
-    def test_coincident_points(self, x, y, size):
-        # rational ratios put points of both rows on the same or neighbouring
-        # floats; the merge must keep each float once
-        union = np.union1d(kernel_breakpoints(x, 0.002), kernel_breakpoints(y, 0.002))
-        blocks = list(merged_breakpoint_blocks(x, y, 0.002, size))[::-1]
-        merged = np.concatenate([blocks[0][:1]] + [b[1:] for b in blocks])
-        np.testing.assert_array_equal(merged, union)
+    def test_coincident_points(self, x, y, block):
+        # rational ratios put jumps of both rows on the same or neighbouring
+        # floats, at the edges of the denser row's unit intervals
+        self._check(x, y, 0.002, block)
 
     def test_blocks_stay_small(self):
-        # 4e5 points near x = y = 0.01; no block holds much more than size
-        sizes = [b.size for b in merged_breakpoint_blocks(0.01, 0.0101, 2.45e-4, 1 << 12)]
-        assert sum(sizes) - (len(sizes) - 1) == np.union1d(
-            kernel_breakpoints(0.01, 2.45e-4), kernel_breakpoints(0.0101, 2.45e-4)).size
-        assert max(sizes) <= (1 << 12) + 4
-
-    def test_rejects_bad_args(self):
-        for args in [(0.0, 0.5, 0.1), (0.5, 1.5, 0.1), (0.5, 0.5, 0.0), (0.5, 0.5, 1.0)]:
-            with pytest.raises(ValueError):
-                next(merged_breakpoint_blocks(*args))
+        # 4e5 unit intervals near x = y = 0.01, no block longer than _BLOCK
+        _, _, sizes = _row_panels(0.01, 0.0101, 2.45e-4, 1 << 12)
+        assert max(sizes) == 1 << 12
+        # two panels per interval
+        assert sum(sizes) == 2 * (math.ceil(1.0 / (0.01 * 2.45e-4)) - math.floor(1.0 / 0.01))
