@@ -121,9 +121,9 @@ def kernel_breakpoints(x: float, cutoff: float) -> np.ndarray:
     return np.concatenate(([cutoff], z[(z > cutoff) & (z < 1.0)], [1.0]))
 
 
-# unit intervals per block of _unit_intervals, and zeta.em_identity_residual's
-# block of trapezoid defects: each array of a block is 64 kB, under glibc's
-# 128 kB mmap threshold, so that it is not mapped and unmapped every block
+# unit intervals per block of _unit_intervals: each array of a block is 64 kB,
+# under glibc's 128 kB mmap threshold, so that it is not mapped and unmapped
+# every block
 _BLOCK = 1 << 13
 
 

@@ -130,9 +130,10 @@ def tilde_power_tail(n: int, q: float, A: float, tol: float = 1e-11) -> float:
 # no window is longer than this many unit panels; the library's windows are
 # under a thousand (T = 707 at tol 1e-20 for n = 2, q = 1)
 _MAX_PANELS = 1 << 20
-# no blocked loop whose length tol sets (em_identity_residual's trapezoid
-# defects, i0_eval's bulk panels) runs past this many terms, where they take
-# about 0.3 s and 0.8 s; the library's longest are about 4.1e5 and 2.8e5
+# no blocked loop whose length tol or an argument sets (i0_eval's bulk
+# panels, delta_r's unit intervals, hankel_apply's panel grid) runs past this
+# many terms; i0_eval's bulk would take about 0.8 s there, and the library's
+# longest is about 2.8e5
 _MAX_TERMS = 1 << 24
 
 

@@ -1,7 +1,17 @@
 """Zeta-function connections of the kernel: residual checks for the
-Euler-Maclaurin action identity, the zeta partial-sum formula, the
-Stirling-type improper integral, the Laplace-transform identity, and the
-log-variable Hankel form of the operator.
+zeta partial-sum identity in four scalings, the Stirling-type improper
+integral, and the log-variable Hankel form of the operator.
+
+The paper's zeta connection is one identity, for 0 < x <= 1:
+
+    (s+1) x^(s+1) int_0^1 K(x,y) y^s dy
+        = zeta(s+1) - sum_{n <= 1/x} n^(-s-1) - x^s/s + x^(s+1) K(1,x).
+
+_partial_sum_rhs forms its right side once, and each residual checks it in
+its own scaling: zeta_connect_residual as written, euler_limit_residual at
+s -> 0+, em_identity_residual divided by (s+1) x^(s+1) (the
+Euler-Maclaurin action of y^s), and laplace_h_residual at x = 1 with s - 1
+for s (the Laplace transform of h).
 
 Every public "residual" operation evaluates both sides of one identity by
 independent routes and returns |LHS - RHS|.  The kernel-side integrals go
@@ -22,9 +32,9 @@ import numpy as np
 
 from .bernoulli import _stirling_bracket
 from .kernel import h_eval, k_eval
-from .quadrature import _BLOCK, composite_rule
-from .tails import (_EM_BERNOULLI, _EM_SHIFT, _MAX_TERMS, _check_count, _check_tol, _moment_scale, _z,
-                    kernel_moment, tilde_power_tail)
+from .quadrature import composite_rule
+from .tails import (_EM_BERNOULLI, _EM_SHIFT, _MAX_TERMS, _check_tol, _moment_scale, _z, kernel_moment,
+                    tilde_power_tail)
 
 __all__ = [
     "zeta",
@@ -38,24 +48,19 @@ __all__ = [
 
 
 def zeta(s: float) -> float:
-    """Riemann zeta for real s > -1, s != 1, by Euler-Maclaurin; no path loads scipy.
+    """Riemann zeta for real s >= 0, s != 1, by Euler-Maclaurin; no path loads scipy.
 
-    For s >= 0 it is tails._z's scheme at x = 1 with real s: the powers
-    k^-s, k < _EM_SHIFT, plus the tail at y = _EM_SHIFT from the same
-    Bernoulli table.  Below 0 that sum would cancel by up to 400x near
-    s = -1, so the functional equation takes zeta(1 - s), 1 - s in (1, 2),
-    instead, with its pole distance -s exact.  Against mpmath at 2,000
-    seeded s in (-1, 8] with |s - 1| >= 0.01 the relative error is at most
-    1e-14 (tests/test_zeta.py::TestZetaValues::test_against_mpmath).
+    tails._z's scheme at x = 1 with real s: the powers k^-s, k < _EM_SHIFT,
+    plus the tail at y = _EM_SHIFT from the same Bernoulli table.  Against
+    mpmath at 600 seeded s in [0, 8] with |s - 1| >= 0.01 the relative
+    error is at most 1e-14
+    (tests/test_zeta.py::TestZetaValues::test_against_mpmath).
     """
     s = float(s)
-    if not s > -1.0:
-        raise ValueError(f"zeta requires s > -1, got {s}")
+    if not s >= 0.0:
+        raise ValueError(f"zeta requires s >= 0, got s = {s}")
     if s == 1.0:
         raise ValueError("pole at s = 1")
-    if s < 0.0:
-        return (2.0**s * math.pi ** (s - 1.0) * math.sin(0.5 * math.pi * s)
-                * math.gamma(1.0 - s) * _zeta_em(1.0 - s, -s, 1.0))
     return _zeta_em(s, s - 1.0, 1.0)
 
 
@@ -102,20 +107,41 @@ def _zeta_em(s: float, d: float, a: float) -> float:
     return math.fsum([*terms, y**-d / d])
 
 
+def _partial_sum_rhs(s: float, x: float) -> float:
+    """zeta(s+1) - sum_{n <= 1/x} n^(-s-1) - x^s/s + x^(s+1) K(1,x), for s >= -1/2 and 0 < x <= 1.
+
+    The right side of the partial-sum identity, which every residual here
+    but stirling_alt_residual scales.  zeta(s+1) less the partial sum is
+    the Hurwitz zeta(s+1, floor(1/x) + 1), the terms of one _zeta_em_terms
+    call at any x.  Its pole term y^-s/s and -x^s/s are both about 1/s, so
+    they are taken together as x^s expm1(-s log(xy))/s; subtracted as
+    formed they would cancel for small |s| (8.4e-9 off at x = 0.5,
+    s = 1e-9, 7.6e-6 at s = 1e-11).  At s = 0 it is the limit
+    gamma - sum_{n <= 1/x} 1/n + log(1/x) + x K(1,x), where gamma less the
+    harmonic sum is -digamma(floor(1/x) + 1), one tails._z point.  Against
+    a 40-digit mpmath at seeded s in [0, 3] and x in [0.01, 1], at s = 1e-12,
+    1e-9, x = 1 and x = 1/n, and at s in [-1/2, 0) with x = 1, it is within
+    1e-14 (tests/test_zeta.py::TestPartialSumRhs).
+    """
+    n = math.floor(1.0 / x)
+    if s == 0.0:
+        return float(_z(1, 1, np.array([n + 1.0]))[0, 0]) + math.log(1.0 / x) + x * float(k_eval(1.0, x))
+    terms, y = _zeta_em_terms(s + 1.0, s, n + 1.0)
+    xs = x**s
+    # x^(s+1) K(1, x) = x^(s+1)/2 - x^s (1 - n x), where 1 - n x is exact or
+    # nearly so, while 1/x would carry half an ulp of n
+    return math.fsum([*terms, xs * math.expm1(-s * math.log(x * y)) / s,
+                      0.5 * x ** (s + 1.0), -xs * (1.0 - n * x)])
+
+
 def zeta_connect_residual(s: float, x: float, tol: float = 1e-10) -> float:
-    """Residual of the partial-sum identity
+    """Residual of the partial-sum identity as written,
 
         (s+1) x^(s+1) int_0^1 K(x,y) y^s dy
-            = zeta(s+1) - sum_{n <= 1/x} n^(-s-1) - x^s/s + x^(s+1) K(1,x)
+            = zeta(s+1) - sum_{n <= 1/x} n^(-s-1) - x^s/s + x^(s+1) K(1,x),
 
     for s > 0 and 0 < x <= 1.  The left side is the certified kernel
-    moment.  On the right, zeta(s+1) less the partial sum is the Hurwitz
-    zeta(s+1, floor(1/x) + 1), the terms of one _zeta_em_terms call at any
-    x.  Its pole term y^-s/s and -x^s/s are both about 1/s, so they are
-    taken together as x^s expm1(-s log(xy))/s; subtracted as formed they
-    would cancel for small s (8.4e-9 off at x = 0.5, s = 1e-9, 7.6e-6 at
-    s = 1e-11).  Against mpmath at 300 seeded points of s in [0.25, 3],
-    x in [0.01, 1] the right side is within 2.6e-16.  An x whose x^(-s-1)
+    moment, the right side _partial_sum_rhs.  An x whose x^(-s-1)
     overflows raises ValueError naming x (kernel_moment).
     """
     s = float(s)
@@ -125,35 +151,22 @@ def zeta_connect_residual(s: float, x: float, tol: float = 1e-10) -> float:
     if not 0.0 < x <= 1.0:
         raise ValueError("x must lie in (0, 1]")
     lhs = (s + 1.0) * x ** (s + 1.0) * kernel_moment(x, s, tol)
-    n = math.floor(1.0 / x)
-    terms, y = _zeta_em_terms(s + 1.0, s, n + 1.0)
-    xs = x**s
-    # x^(s+1) K(1, x) = x^(s+1)/2 - x^s (1 - n x), where 1 - n x is exact or
-    # nearly so, while 1/x would carry half an ulp of n
-    rhs = math.fsum([*terms, xs * math.expm1(-s * math.log(x * y)) / s,
-                     0.5 * x ** (s + 1.0), -xs * (1.0 - n * x)])
-    return abs(lhs - rhs)
+    return abs(lhs - _partial_sum_rhs(s, x))
 
 
 def euler_limit_residual(x: float, tol: float = 1e-10) -> float:
-    """Residual of the s -> 0+ limit of the partial-sum identity:
+    """Residual of the partial-sum identity in its s -> 0+ limit:
 
         x int_0^1 K(x,y) dy = gamma - sum_{n <= 1/x} 1/n + log(1/x) + x K(1,x).
 
-    gamma less the harmonic sum is -digamma(floor(1/x) + 1), one tails._z
-    point at any x.  An x whose 1/x overflows raises ValueError naming x
-    (kernel_moment).
+    The right side is _partial_sum_rhs at s = 0.  An x whose 1/x overflows
+    raises ValueError naming x (kernel_moment).
     """
     x = float(x)
     if not 0.0 < x <= 1.0:
         raise ValueError("x must lie in (0, 1]")
     lhs = x * kernel_moment(x, 0.0, tol)
-    rhs = (
-        float(_z(1, 1, np.array([math.floor(1.0 / x) + 1.0]))[0, 0])
-        + math.log(1.0 / x)
-        + x * float(k_eval(1.0, x))
-    )
-    return abs(lhs - rhs)
+    return abs(lhs - _partial_sum_rhs(0.0, x))
 
 
 def stirling_alt_residual(x: float, eps: float, tol: float = 1e-10) -> float:
@@ -183,15 +196,16 @@ def stirling_alt_residual(x: float, eps: float, tol: float = 1e-10) -> float:
 def laplace_h_residual(s: float, tol: float = 1e-10) -> float:
     """Residual of the Laplace-transform identity for h(v) = e^(-v/2) K(1, e^-v):
 
-        int_0^1 K(1,y) y^(s-1) dy = (zeta(s) - 1/(s-1) - 1/2) / s,   s > 0.
+        int_0^1 K(1,y) y^(s-1) dy = (zeta(s) - 1/(s-1) - 1/2) / s,   s > 0,
 
-    The right side is _zeta_em's sum at a = 1 regrouped so that each O(s)
+    the partial-sum identity at x = 1 with s - 1 for s, divided by s.  For
+    s >= 1/2 the right side is _partial_sum_rhs(s - 1, 1) / s, whose
+    expm1 form keeps it within tol next to the pole at s = 1.  Below 1/2
+    the division by s would cancel (4.8e-6 off at s = 1e-10, 0.048 at
+    1e-14), so there _zeta_em's sum at a = 1 is regrouped so that each O(s)
     piece is divided by s in closed form, with e_k = expm1(-s log k)/s:
 
         sum_{k=2..7} e_k + (8 e_8 + 7)/(s-1) + e_8/2 + 8^(1-s) tail/s.
-
-    Formed as written it would cancel for small s (4.8e-6 off at
-    s = 1e-10, 0.048 at 1e-14).
     """
     s = float(s)
     if not s > 0.0:
@@ -199,26 +213,13 @@ def laplace_h_residual(s: float, tol: float = 1e-10) -> float:
     if s == 1.0:
         raise ValueError("pole at s = 1")
     lhs = kernel_moment(1.0, s - 1.0, tol)
+    if s >= 0.5:
+        return abs(lhs - _partial_sum_rhs(s - 1.0, 1.0) / s)
     y = float(_EM_SHIFT)
     e = [math.expm1(-s * math.log(k)) / s for k in range(2, _EM_SHIFT + 1)]
     rhs = math.fsum([*e[:-1], (y * e[-1] + (y - 1.0)) / (s - 1.0), 0.5 * e[-1],
                      y ** (1.0 - s) * _em_tail(s, y, 1.0)])
     return abs(lhs - rhs)
-
-
-def _power_panel_integral(s: float, x: float, a, b):
-    """int_a^b (nu x)^(-s-1)/(s+1) d nu in closed form, vectorised over the panels [a, b].
-
-    Written a^-s (1 - e^(-s L))/s with L = log(b/a), through expm1: the
-    plain (a^-s - b^-s)/s cancels for small s > 0 (em_identity_residual at
-    x = 0.0908, s = 1e-9 would be 1.4e-7 off instead of 5.3e-11).  At
-    s == 0 it is the limit L.
-    """
-    c = x ** (-s - 1.0) / (s + 1.0)
-    L = np.log(b / a)
-    if s == 0.0:
-        return c * L
-    return c * a ** (-s) * -np.expm1(-s * L) / s
 
 
 def em_identity_residual(s: float, x: float, tol: float = 1e-10) -> float:
@@ -228,11 +229,11 @@ def em_identity_residual(s: float, x: float, tol: float = 1e-10) -> float:
             = sum_{n > 1/x} F(1/(nx)) - int_{1/x}^inf F(1/(nu x)) d nu
               + F(1) K(1,x),
 
-    with F(z) = z^(s+1)/(s+1).  The divergence-cancelling difference is
-    summed by trapezoid pairing with a monotone tail bound; the nu-integral
-    pieces are in closed form.  A tol that needs more than _MAX_TERMS
-    (2^24) trapezoid defects, or an x whose x^(-s-1) or 1/x overflows,
-    raises ValueError by name before any work.
+    with F(z) = z^(s+1)/(s+1), for s >= 0 and 0 < x <= 1.  Summed in
+    closed form, the right side is the partial-sum identity's divided by
+    (s+1) x^(s+1), so it is _partial_sum_rhs(s, x) x^(-s-1)/(s+1).  An x
+    whose x^(-s-1) or 1/x overflows raises ValueError by name before any
+    work.
     """
     s = float(s)
     x = float(x)
@@ -242,29 +243,8 @@ def em_identity_residual(s: float, x: float, tol: float = 1e-10) -> float:
         raise ValueError("x must lie in (0, 1]")
     _check_tol(tol)
     scale = _moment_scale(x, s)  # first: it rejects an x too small
-    n0 = math.floor(1.0 / x) + 1
-    # |sum_{n>M} trapezoid defects| <= |G'(M)|/12 with G'(nu) = -x^(-s-1) nu^(-s-2)
-    m_top = (scale / (6.0 * tol)) ** (1.0 / (s + 2.0))
-    _check_count(m_top - n0, _MAX_TERMS, tol, "trapezoid defects")
-    m_cap = max(n0 + 16, math.ceil(m_top))
     lhs = kernel_moment(x, s, tol)
-
-    def g(nu):
-        return (nu * x) ** (-s - 1.0) / (s + 1.0)
-
-    defects = 0.0
-    # m_cap reaches 4e5 near x = 0.01, s = 0; the defects are summed _BLOCK at
-    # a time, so that their memory does not grow with the count
-    for b0 in range(n0, m_cap + 1, _BLOCK):
-        n = np.arange(b0, min(b0 + _BLOCK, m_cap + 1), dtype=float)
-        defects += float(np.sum(0.5 * (g(n) + g(n + 1.0)) - _power_panel_integral(s, x, n, n + 1.0)))
-    series_minus_integral = (
-        0.5 * g(float(n0))
-        - float(_power_panel_integral(s, x, 1.0 / x, float(n0)))
-        + defects
-    )
-    rhs = series_minus_integral + (1.0 / (s + 1.0)) * float(k_eval(1.0, x))
-    return abs(lhs - rhs)
+    return abs(lhs - _partial_sum_rhs(s, x) * scale / (s + 1.0))
 
 
 def hankel_apply(F, u: float, V: float = 40.0) -> float:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.special import polygamma
 from scipy.special import zeta as hurwitz_zeta
 
-from kernel_spectra import iterated, tails, zeta
+from kernel_spectra import iterated, tails
 from kernel_spectra.bernoulli import _B_POLY, bernoulli_tilde
 from kernel_spectra.kernel import k_eval
 from kernel_spectra.quadrature import composite_rule, gauss_legendre, kernel_breakpoints
@@ -222,16 +222,15 @@ class TestTailEngine:
             _, peak = traced_peak(reject, fn, *args)
             assert peak < 1 << 16
 
-    # each of these would sum about 4e20 defects, 5.6e9 bulk panels or a
-    # remainder window past T2 = 4e9 (tens of GiB); a count sized by tol is
-    # checked against its cap before the work it sizes
+    # each of these would sum about 5.6e9 bulk panels or a remainder window
+    # past T2 = 4e9 (tens of GiB); a count sized by tol is checked against
+    # its cap before the work it sizes
     @pytest.mark.parametrize("fn,args", [
-        (zeta.em_identity_residual, (0.0, 0.01, 1e-40)),
         (iterated.i0_eval, (0.5, 0.5, 1e-30)),
         (mixed_power_tail, (2.0, 0.7, 1e-40)),
         (iterated.k2_closed, (0.3, 0.6, iterated.K2Evaluator(1e-40))),
         (iterated.i_eval, (0.3, 0.6, 0.5, 1e-30)),
-    ], ids=["em_identity_residual", "i0_eval", "mixed_power_tail", "k2_closed", "i_eval"])
+    ], ids=["i0_eval", "mixed_power_tail", "k2_closed", "i_eval"])
     def test_tiny_tol_fails_fast_by_name(self, fn, args, traced_peak):
         def reject():
             with pytest.raises(ValueError, match="tol"):
