@@ -120,9 +120,9 @@ class DiscretizedOperator:
 def assemble(grid: QuadratureRule) -> DiscretizedOperator:
     """Discretize the kernel operator on the grid.
 
-    One N x N kernel array is filled by k_eval and weighted in place;
-    symmetrizing adds one more, so the peak is about 2 N^2 doubles, the
-    same as k_eval's own fill.
+    One N x N kernel array is filled by k_eval and weighted in place by
+    the N x N product sqrt(w_i w_j), so the peak is about 2 N^2 doubles,
+    the same as k_eval's own fill.
     """
     x = grid.nodes
     return DiscretizedOperator(
@@ -130,16 +130,16 @@ def assemble(grid: QuadratureRule) -> DiscretizedOperator:
 
 
 def _weighted_symmetric(m: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """0.5 (A + A^T) for A_ij = sqrt(w_i) m_ij sqrt(w_j), exactly symmetric regardless of rounding.
+    """m_ij sqrt(w_i) sqrt(w_j) for an exactly symmetric m, written into m and returned.
 
-    m is overwritten with A; the sum is the one further N x N array.
+    One product by the outer product of sqrt(w) with itself, whose (i, j)
+    and (j, i) entries are the same float, as IEEE products commute: the
+    result is exactly symmetric wherever m is, which k_eval's fill and the
+    K2 fill both are.  The outer product is the one further N x N array.
     """
     sq = np.sqrt(weights)
-    m *= sq[:, None]
-    m *= sq
-    out = m + m.T
-    out *= 0.5
-    return out
+    m *= np.multiply.outer(sq, sq)
+    return m
 
 
 def _gated_eigh(matrix: np.ndarray, tol: float):

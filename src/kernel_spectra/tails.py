@@ -115,7 +115,7 @@ def tilde_power_tail(n: int, q: float, A: float, tol: float = 1e-11) -> float:
 
     Any q > 0 converges, B~n having zero mean.  A one-entry call of
     _tilde_tail_vec, whose docstring gives the method and its certificate;
-    a tol so small that the window would pass 2^20 panels raises ValueError.
+    a tol so small that the window would pass 2^15 panels raises ValueError.
     """
     if not 1.0 <= A < math.inf:
         raise ValueError(f"tilde_power_tail requires A >= 1 and finite, got {A}")
@@ -127,9 +127,12 @@ def tilde_power_tail(n: int, q: float, A: float, tol: float = 1e-11) -> float:
     return float(_tilde_tail_vec(n, float(q), np.array([float(A)]), np.array([float(tol)]))[0])
 
 
-# no window is longer than this many unit panels; the library's windows are
-# under a thousand (T = 707 at tol 1e-20 for n = 2, q = 1)
-_MAX_PANELS = 1 << 20
+# no window is longer than this many unit panels.  A window is built as one
+# block of 32 (tail) or 16 (remainder) nodes per panel, so this keeps each
+# of its temporaries within 8 MB.  k2_closed(1e-4, 2e-4) at tol 1e-14
+# builds a remainder window of 7,199 panels, no other test more than 2,098,
+# and the benchmark's seeds 1-3 at most 97
+_MAX_PANELS = 1 << 15
 # no blocked loop whose length tol or an argument sets (i0_eval's bulk
 # panels, delta_r's unit intervals, hankel_apply's panel grid) runs past this
 # many terms; i0_eval's bulk would take about 0.8 s there, and the library's
@@ -687,16 +690,10 @@ def kernel_moment(x: float, s: float, tol: float = 1e-11) -> float:
     if not -1.0 <= s < math.inf:
         raise ValueError(f"kernel_moment requires s >= -1 and finite, got {s}")
     _check_tol(tol)
-    scale = _moment_scale(x, s)
-    return -scale * tilde_power_tail(1, s + 2.0, 1.0 / x, tol / max(scale, 1.0))
-
-
-def _moment_scale(x: float, s: float) -> float:
-    """x^(-s-1) for x in (0, 1]; an x whose x^(-s-1) or 1/x overflows raises ValueError naming x."""
     try:
         scale = x ** (-s - 1.0)
     except OverflowError:
         scale = math.inf
     if not (scale < math.inf and 1.0 / x < math.inf):
         raise ValueError(f"x = {x:g} is too small: x^{-s - 1.0:g} or 1/x overflows")
-    return scale
+    return -scale * tilde_power_tail(1, s + 2.0, 1.0 / x, tol / max(scale, 1.0))

@@ -33,8 +33,7 @@ import numpy as np
 from .bernoulli import _stirling_bracket
 from .kernel import h_eval, k_eval
 from .quadrature import composite_rule
-from .tails import (_EM_BERNOULLI, _EM_SHIFT, _MAX_TERMS, _check_tol, _moment_scale, _z, kernel_moment,
-                    tilde_power_tail)
+from .tails import _EM_BERNOULLI, _EM_SHIFT, _MAX_TERMS, _z, kernel_moment, tilde_power_tail
 
 __all__ = [
     "zeta",
@@ -233,7 +232,7 @@ def em_identity_residual(s: float, x: float, tol: float = 1e-10) -> float:
     closed form, the right side is the partial-sum identity's divided by
     (s+1) x^(s+1), so it is _partial_sum_rhs(s, x) x^(-s-1)/(s+1).  An x
     whose x^(-s-1) or 1/x overflows raises ValueError by name before any
-    work.
+    work (kernel_moment, which also checks tol).
     """
     s = float(s)
     x = float(x)
@@ -241,10 +240,8 @@ def em_identity_residual(s: float, x: float, tol: float = 1e-10) -> float:
         raise ValueError(f"em_identity_residual requires s >= 0, got {s}")
     if not 0.0 < x <= 1.0:
         raise ValueError("x must lie in (0, 1]")
-    _check_tol(tol)
-    scale = _moment_scale(x, s)  # first: it rejects an x too small
-    lhs = kernel_moment(x, s, tol)
-    return abs(lhs - _partial_sum_rhs(s, x) * scale / (s + 1.0))
+    lhs = kernel_moment(x, s, tol)  # checks tol, then rejects an x too small by name
+    return abs(lhs - _partial_sum_rhs(s, x) * x ** (-s - 1.0) / (s + 1.0))
 
 
 def hankel_apply(F, u: float, V: float = 40.0) -> float:

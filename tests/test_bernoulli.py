@@ -1,11 +1,13 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kernel_spectra.bernoulli import _B_POLY, bernoulli_tilde, frac, log_factorial
+from kernel_spectra import bernoulli
+from kernel_spectra.bernoulli import _B_POLY, _STIRLING_THRESHOLD, bernoulli_tilde, frac, log_factorial
 from kernel_spectra.quadrature import composite_rule
 from kernel_spectra.tails import _piece_values
 
@@ -140,15 +142,42 @@ class TestLogFactorial:
         assert log_factorial(10**6) == pytest.approx(12815518.384658169, rel=1e-13)
 
     def test_against_lgamma_sweep(self):
-        for n in [2, 17, 100, 255, 256, 257, 300, 1000, 12345, 10**7]:
-            exact = math.lgamma(n + 1.0)
+        # mpmath is the oracle: math.lgamma is the implementation past the table
+        for n in [2, 17, 32, 33, 100, 255, 256, 257, 300, 1000, 12345, 10**7]:
+            with mp.workdps(30):
+                exact = float(mp.loggamma(n + 1))
             assert abs(log_factorial(n) - exact) <= 1e-13 * abs(exact) + 1e-14
 
+    def test_within_5e16_of_mpmath(self):
+        # the table to n = 32 and lgamma above were within 2.8e-16 here; the
+        # table to 256 and the Stirling series above it were 5.5e-16 off at 256
+        rng = np.random.default_rng(29)
+        seeded = np.floor(10.0 ** rng.uniform(0.0, 15.0, 2000)).astype(np.int64).tolist()
+        with mp.workdps(40):
+            for n in [*range(3001), *seeded]:
+                exact = mp.loggamma(n + 1)
+                assert abs(log_factorial(n) - exact) <= 5e-16 * abs(exact), n
+
     def test_branch_agreement_at_threshold(self):
-        # summation below, Stirling above; the seam must be invisible
-        below = log_factorial(256)
-        above = log_factorial(257)
-        assert above - below == pytest.approx(math.log(257.0), rel=1e-13)
+        # the summed table below, math.lgamma above; the seam must be invisible
+        assert _STIRLING_THRESHOLD == 32
+        below = log_factorial(32)
+        above = log_factorial(33)
+        assert above - below == pytest.approx(math.log(33.0), rel=1e-13)
+
+    def test_bracket_switches_at_the_same_crossover(self, monkeypatch):
+        # _stirling_bracket takes its cancelled form past the table, so no
+        # library path reaches log_factorial's lgamma branch
+        seen = []
+
+        def recorded(n):
+            seen.append(n)
+            return log_factorial(n)
+
+        monkeypatch.setattr(bernoulli, "log_factorial", recorded)
+        for x in [*(1.0 / np.arange(1, 65)), *np.geomspace(1e-6, 1.0, 400)]:
+            bernoulli._stirling_bracket(float(x))
+        assert max(seen) == _STIRLING_THRESHOLD
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -163,4 +192,6 @@ class TestLogFactorial:
     @given(st.integers(min_value=0, max_value=5000))
     def test_monotone_and_matches_lgamma(self, n):
         v = log_factorial(n)
-        assert abs(v - math.lgamma(n + 1.0)) <= 1e-13 * max(1.0, abs(v))
+        with mp.workdps(30):
+            exact = float(mp.loggamma(n + 1))
+        assert abs(v - exact) <= 1e-13 * max(1.0, abs(v))

@@ -1,15 +1,21 @@
 """Declared entry points: every name a kernel_spectra module exports exists,
-every name a module imports is used, no path of the package needs scipy, and
-the spectrum path loads no fork pool."""
+every name a module imports is used, a range check names the argument it
+rejects, no path of the package needs scipy, and the spectrum path loads no
+fork pool."""
 
 import ast
 import importlib
 import json
+import math
 import pkgutil
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import kernel_spectra
 from kernel_spectra import cli, iterated, kernel, spectra, tails, zeta
+from kernel_spectra.quadrature import uniform_rule
 
 # (module, function, arguments) of the library calls the scipy-free run repeats
 _CALLS = [
@@ -56,6 +62,33 @@ def test_every_imported_name_is_used():
                     if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
                         unused.append(name)
         assert not unused, (path.name, unused)
+
+
+# (call, arguments, what the message must name) for range checks no other
+# test reaches
+_RANGE_CHECKS = {
+    "k2_quadrature_x": (iterated.k2_quadrature, (1.5, 0.5), r"x, y in \[0, 1\]"),
+    "k2_quadrature_y": (iterated.k2_quadrature, (0.5, -0.1), r"x, y in \[0, 1\]"),
+    "kernel_moment_x0": (tails.kernel_moment, (0.0, 1.0), r"x in \(0, 1\]"),
+    "kernel_moment_x_nan": (tails.kernel_moment, (math.nan, 1.0), r"x in \(0, 1\]"),
+    "tilde_tail_A": (tails._tilde_tail_vec, (2, 1.0, np.array([2.0, 0.5]), np.array([1e-8, 1e-8])),
+                     r"A >= 1"),
+    "operator_not_2d": (spectra.DiscretizedOperator, (uniform_rule(2, 1), np.ones(2)),
+                        r"matrix must be square"),
+    "operator_not_square": (spectra.DiscretizedOperator, (uniform_rule(2, 1), np.ones((2, 3))),
+                            r"matrix must be square"),
+    "zeta_connect_x": (zeta.zeta_connect_residual, (1.0, 1.5), r"^x must lie in \(0, 1\]"),
+    "euler_limit_x": (zeta.euler_limit_residual, (0.0,), r"^x must lie in \(0, 1\]"),
+    "stirling_alt_x": (zeta.stirling_alt_residual, (math.nan, 1e-9), r"^x must lie in \(0, 1\]"),
+    "em_identity_x": (zeta.em_identity_residual, (1.0, -0.5), r"^x must lie in \(0, 1\]"),
+}
+
+
+@pytest.mark.parametrize("name", _RANGE_CHECKS)
+def test_range_check_names_its_argument(name):
+    fn, args, message = _RANGE_CHECKS[name]
+    with pytest.raises(ValueError, match=message):
+        fn(*args)
 
 
 def _k2_values(record):

@@ -12,7 +12,7 @@ import pytest
 from kernel_spectra import spectra
 from kernel_spectra.iterated import K2Evaluator, k2_closed, k2_diag_exact
 from kernel_spectra.kernel import _HS_NORM_SQ, k_eval
-from kernel_spectra.quadrature import QuadratureRule, uniform_rule
+from kernel_spectra.quadrature import QuadratureRule, composite_rule, uniform_rule
 from kernel_spectra.spectra import (
     _ROWS_PER_WORKER,
     K2_EIGEN_TOL,
@@ -40,6 +40,14 @@ class TestAssemble:
     def test_exact_transpose(self, op256):
         assert np.array_equal(op256.matrix, op256.matrix.T)
 
+    @pytest.mark.parametrize("rule", [uniform_rule(8, 4), uniform_rule(512, 4),
+                                      composite_rule(np.append(0.0, np.geomspace(1e-3, 1.0, 16)), 6)],
+                             ids=["n32", "n2048", "geometric"])
+    def test_exactly_symmetric_by_construction(self, rule):
+        # the weights go in as one product by the symmetric outer product of sqrt(w)
+        m = assemble(rule).matrix
+        assert np.array_equal(m, m.T)
+
     def test_frobenius_matches_hs_norm(self, op256, rule256):
         frob_sq = float(np.sum(op256.matrix**2))
         hs_sq = float(
@@ -64,8 +72,8 @@ class TestAssemble:
             DiscretizedOperator(grid=uniform_rule(3, 1), matrix=np.eye(2))
 
     def test_memory_bounded(self, traced_peak):
-        # the kernel array and k_eval's floor, then that array and its
-        # symmetrized sum: 2 N^2 doubles
+        # the kernel array and k_eval's floor, then that array and the outer
+        # product of sqrt(w): 2 N^2 doubles
         rule = uniform_rule(128, 4)
         n = rule.nodes.size
         _, peak = traced_peak(assemble, rule)
@@ -281,6 +289,21 @@ class TestEigenfunction:
             eigenfunction(spec256, 1.5, rule256)
         assert eigenfunction(spec256, np.int64(2), rule256).eigenvalue == spec256.eigenvalues[1]
 
+    def test_sign_fallback_when_phi1_is_zero(self):
+        # v is proportional to sqrt(w) (K(1, x_2), -K(1, x_1)) on the nodes 1/4
+        # and 3/4, so phi(1) = lambda sum_i w_i phi_i K(1, x_i) cancels to
+        # rounding, and the largest node value takes the sign
+        grid = uniform_rule(2, 1)
+        k1 = k_eval(1.0, grid.nodes)
+        v = np.sqrt(grid.weights) * np.array([k1[1], -k1[0]])
+        v /= np.linalg.norm(v)
+        u = np.array([v[1], -v[0]])
+        spec = eigensolve(DiscretizedOperator(grid=grid, matrix=2.0 * np.outer(v, v) + np.outer(u, u)))
+        h = eigenfunction(spec, 1, grid)
+        assert h.eigenvalue == pytest.approx(0.5, rel=1e-14)
+        assert h.sign_convention.startswith("largest node value > 0")
+        assert h.node_values[np.argmax(np.abs(h.node_values))] > 0.0
+
     def test_grid_mismatch(self, spec256):
         with pytest.raises(ValueError):
             eigenfunction(spec256, 1, uniform_rule(4, 2))
@@ -417,6 +440,7 @@ class TestK2Stripes:
             _use_cores(patch, 1)
             m, workers = _assemble_k2(rule, 1e-7)
         assert workers == 1
+        assert np.array_equal(m, m.T)
         return rule, m
 
     @pytest.mark.parametrize("workers", [2, 3])
@@ -426,7 +450,7 @@ class TestK2Stripes:
         threads = threading.active_count()
         m, used = _assemble_k2(rule, 1e-7)
         assert used == workers
-        assert np.array_equal(m, reference)
+        assert np.array_equal(m, reference)  # so exactly symmetric, as the reference is
         _assert_no_child_left(threads)
 
     def test_worker_count(self, monkeypatch):

@@ -241,6 +241,26 @@ class TestTailEngine:
         assert time.perf_counter() - t0 < 1.0
         assert peak < 1 << 16
 
+    # a window is one block of nodes, so its temporaries grow with its length:
+    # under a cap of 2^20 panels these two took 401 MB and 136 MB
+    @pytest.mark.parametrize("fn,args", [(kernel_moment, (0.01, 0.0, 1e-40)),
+                                         (mixed_power_tail, (1.0, 0.5, 1e-22))],
+                             ids=["kernel_moment", "mixed_power_tail"])
+    def test_window_past_the_cap_fails_by_name(self, fn, args, traced_peak):
+        def reject():
+            with pytest.raises(ValueError, match="tol .* needs more than 32768 unit panels"):
+                fn(*args)
+
+        _, peak = traced_peak(reject)
+        assert peak < 100_000
+
+    def test_cap_admits_the_tightest_k2(self, traced_peak):
+        # x = 1e-4 at tol 1e-14 builds a remainder window of 7,199 panels,
+        # under the cap of 32,768 (7.5 MB measured)
+        value, peak = traced_peak(iterated.k2_closed, 1e-4, 2e-4, iterated.K2Evaluator(1e-14))
+        assert abs(value) <= iterated.OFF_DIAGONAL_BOUND * 0.5
+        assert peak < 16 << 20
+
     # the library's ladder is the per-q oracle's at depth 6, exactly; the
     # oracle at `depth` agrees with it at T = 3 within the two bounds
     @pytest.mark.parametrize("n,q,depth", [(1, 1.0, 6), (2, 0.5, 6), (2, 1.0, 8), (3, 2.5, 6),
@@ -752,6 +772,28 @@ class TestKernelMoment:
                 lambda t: bernoulli_tilde(1, t) / t, 1.0 / x, 100000.0
             )
             assert abs(mine - w) <= 1.0 / (6.0 * 100000.0) + 1e-10, x
+
+    @pytest.mark.parametrize("s", [-1.0, -0.5, 0.0, 0.5, 1.5, 3.0])
+    @pytest.mark.parametrize("x", [1e-4, 3e-4, 1e-3, 3e-3, 1.0 / 137.0])
+    def test_small_x_against_mpmath(self, x, s):
+        # the exact moment from the partial-sum identity at 40 digits, with
+        # floor(1/x) taken once, in mpmath:
+        #   (s+1) x^(s+1) M = zeta(s+1, n+1) - x^s/s + x^(s+1) K(1, x),
+        # its s -> 0 limit (-digamma(n+1) + log(1/x) + x K(1, x) = x M) and,
+        # at s = -1, M = log(n!) - n log(1/x) + 1/x - log sqrt(2 pi / x)
+        with mp.workdps(40):
+            X, S = mp.mpf(x), mp.mpf(s)
+            n = int(mp.floor(1 / X))
+            k1 = mp.mpf(0.5) + n - 1 / X
+            if s == -1.0:
+                exact = mp.loggamma(n + 1) - n * mp.log(1 / X) + 1 / X - mp.log(2 * mp.pi / X) / 2
+            elif s == 0.0:
+                exact = (-mp.digamma(n + 1) + mp.log(1 / X) + X * k1) / X
+            else:
+                exact = ((mp.zeta(S + 1, n + 1) - X**S / S + X ** (S + 1) * k1)
+                         / ((S + 1) * X ** (S + 1)))
+            for tol in (1e-11, 1e-13):
+                assert abs(kernel_moment(x, s, tol) - exact) <= tol, tol
 
     def test_tol_below_the_float_range_fails_by_name(self):
         # tol/x^(-s-1) = 1e-311 once overflowed 2c/tol with a RuntimeWarning first
