@@ -230,9 +230,9 @@ def em_identity_residual(s: float, x: float, tol: float = 1e-10) -> float:
 
     with F(z) = z^(s+1)/(s+1), for s >= 0 and 0 < x <= 1.  Summed in
     closed form, the right side is the partial-sum identity's divided by
-    (s+1) x^(s+1), so it is _partial_sum_rhs(s, x) x^(-s-1)/(s+1).  An x
-    whose x^(-s-1) or 1/x overflows raises ValueError by name before any
-    work (kernel_moment, which also checks tol).
+    (s+1) x^(s+1), so it is _partial_sum_rhs(s, x) x^(-s-1)/(s+1).
+    kernel_moment checks tol, then raises ValueError by name for an x whose
+    x^(-s-1) or 1/x overflows, before any work.
     """
     s = float(s)
     x = float(x)
@@ -240,7 +240,7 @@ def em_identity_residual(s: float, x: float, tol: float = 1e-10) -> float:
         raise ValueError(f"em_identity_residual requires s >= 0, got {s}")
     if not 0.0 < x <= 1.0:
         raise ValueError("x must lie in (0, 1]")
-    lhs = kernel_moment(x, s, tol)  # checks tol, then rejects an x too small by name
+    lhs = kernel_moment(x, s, tol)
     return abs(lhs - _partial_sum_rhs(s, x) * x ** (-s - 1.0) / (s + 1.0))
 
 
